@@ -4,16 +4,15 @@
 //
 //  1. Google-benchmark micros over the in-process inference path, feeding
 //     the ratio gate in scripts/bench_diff.py:
-//       BM_ServePredictForeignScalar  per-row predict_labels (the scalar
-//                                     log_prob_foreign reference path)
 //       BM_ServePredictRowwise        predict_batch called one row at a
 //                                     time (an unbatched server would pay
 //                                     one Model::rebound per request)
 //       BM_ServePredictBatched        predict_batch over the whole batch —
 //                                     the micro-batched serving hot path
-//     The gated ratios are batched-vs-rowwise (micro-batching win) and
-//     batched-vs-foreign-scalar (kernel-tier win); both are within-run
-//     ratios, so they survive machine changes like the other pairs.
+//     predict_batch is ac::predict, the one offline/served prediction
+//     path.  The gated ratio is batched-vs-rowwise (the micro-batching
+//     win), a within-run ratio, so it survives machine changes like the
+//     other pairs.
 //
 //  2. A socket-level latency/QPS section: an in-process Server, client
 //     threads at {1, 8, 64} concurrency each issuing synchronous predict
@@ -40,7 +39,6 @@
 #include <thread>
 #include <vector>
 
-#include "autoclass/report.hpp"
 #include "autoclass/search.hpp"
 #include "data/dataset.hpp"
 #include "serve/client.hpp"
@@ -121,17 +119,6 @@ const ServeFixture& fixture() {
   static const ServeFixture f;
   return f;
 }
-
-void BM_ServePredictForeignScalar(benchmark::State& state) {
-  const ServeFixture& f = fixture();
-  for (auto _ : state) {
-    auto labels = pac::ac::predict_labels(f.classification, f.probe);
-    benchmark::DoNotOptimize(labels.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.probe.num_items()));
-}
-BENCHMARK(BM_ServePredictForeignScalar);
 
 void BM_ServePredictRowwise(benchmark::State& state) {
   const ServeFixture& f = fixture();

@@ -1,8 +1,13 @@
 #include "autoclass/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <istream>
@@ -212,9 +217,39 @@ SearchResult load_search_result(std::istream& in, const Model& model) {
 
 void save_search_result_file(const std::string& path,
                              const SearchResult& result) {
-  std::ofstream out(path);
-  PAC_REQUIRE_MSG(out.good(), "cannot open '" << path << "' for writing");
-  save_search_result(out, result);
+  // Write path.tmp, make sure every byte reached the disk, then rename it
+  // over `path`: a failed or interrupted save leaves the previous
+  // checkpoint intact, and a reader (pac_serve --watch) never sees a torn
+  // file.
+  std::ostringstream text;
+  save_search_result(text, result);
+  const std::string bytes = std::move(text).str();
+  const std::string tmp = path + ".tmp";
+  const auto fail = [&](const char* step, int err) {
+    ::unlink(tmp.c_str());
+    throw Error("cannot save checkpoint '" + path + "': " + step + " of '" +
+                tmp + "' failed: " + std::strerror(err));
+  };
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0644);
+  if (fd < 0) fail("open", errno);
+  for (std::size_t done = 0; done < bytes.size();) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      const int err = n < 0 ? errno : EIO;
+      ::close(fd);
+      fail("write", err);
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  if (::fsync(fd) != 0) {
+    const int err = errno;
+    ::close(fd);
+    fail("fsync", err);
+  }
+  if (::close(fd) != 0) fail("close", errno);
+  if (::rename(tmp.c_str(), path.c_str()) != 0) fail("rename", errno);
 }
 
 SearchResult load_search_result_file(const std::string& path,

@@ -54,7 +54,9 @@ void save_search_result(std::ostream& out, const SearchResult& result);
 
 SearchResult load_search_result(std::istream& in, const Model& model);
 
-/// Convenience file variants.
+/// File variants.  The save is atomic: it writes and fsyncs `path`.tmp,
+/// then renames it over `path`, so on any failure (throws pac::Error
+/// naming the path) the previous file at `path` is left untouched.
 void save_search_result_file(const std::string& path,
                              const SearchResult& result);
 SearchResult load_search_result_file(const std::string& path,

@@ -86,4 +86,15 @@ class Classification {
   std::vector<double> params_;
 };
 
+/// Fill `rows` (block.size() x num_classes, row-major) with the log joint
+/// log pi_j + sum_t log p(x_i | theta_jt) of every item in `block` of c's
+/// dataset.  Term-major: every row is seeded with the log mixing weights,
+/// then each (term, class) log_prob_batch kernel accumulates one class
+/// column across the whole block.  Per item this adds log pi first and
+/// then the terms in index order — the scalar log_prob oracle's order, so
+/// the values are bit-identical to it.  The E-step, the reports and
+/// prediction all fill through this one function.
+void fill_log_joint(const Classification& c, data::ItemRange block,
+                    double* rows);
+
 }  // namespace pac::ac

@@ -320,21 +320,9 @@ double EmWorker::update_wts_blocked(Classification& c, FillBlock&& fill) {
 
 double EmWorker::update_wts(Classification& c) {
   PAC_TRACE_SCOPE(reducer_->recorder(), "em", "update_wts");
-  const std::size_t num_terms = model_->num_terms();
-  const std::size_t j = c.num_classes();
+  PAC_CHECK(&c.model() == model_);
   return update_wts_blocked(c, [&](data::ItemRange block, double* rows) {
-    // log L_ij = log pi_j + sum_t log p(x_i | theta_jt), assembled
-    // term-major: seed every row with the log mixing weights, then let each
-    // (term, class) kernel accumulate one class-column across the whole
-    // block.  Per item this adds log pi first and then the terms in index
-    // order — exactly the scalar oracle's order, which is what keeps the
-    // two paths bit-identical.
-    for (std::size_t r = 0; r < block.size(); ++r)
-      for (std::size_t k = 0; k < j; ++k) rows[r * j + k] = c.log_pi(k);
-    for (std::size_t t = 0; t < num_terms; ++t)
-      for (std::size_t k = 0; k < j; ++k)
-        model_->term(t).log_prob_batch(block, c.param_block(k, t), rows + k,
-                                       j);
+    fill_log_joint(c, block, rows);
   });
 }
 

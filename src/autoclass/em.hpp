@@ -203,16 +203,17 @@ class EmWorker {
 
   /// E-step over the local partition; fills the local weight matrix, the
   /// global class weights W_j, and the global observed log-likelihood
-  /// (returned and stored in c.log_likelihood).  Runs the blocked,
-  /// term-major batch kernels (Term::log_prob_batch); per item the
-  /// accumulation order is log pi_j then terms in index order — the same as
-  /// update_wts_scalar, so both paths are bit-identical on every transport
-  /// backend.  Blocks are work-shared across the configured thread pool and
-  /// the per-block (W_j, log-likelihood) partials are folded in block-index
-  /// order, so every result is a pure function of the block size —
-  /// bit-identical across thread counts.  Throws DegenerateRowError if any
-  /// item's row is -inf under every class (the lowest-indexed offending
-  /// block wins, whatever thread found it).
+  /// (returned and stored in c.log_likelihood).  `c` must be bound to this
+  /// worker's model.  Fills each block through fill_log_joint (the
+  /// term-major batch kernels the reports and prediction share); per item
+  /// the accumulation order is log pi_j then terms in index order — the
+  /// same as update_wts_scalar, so both paths are bit-identical on every
+  /// transport backend.  Blocks are work-shared across the configured
+  /// thread pool and the per-block (W_j, log-likelihood) partials are
+  /// folded in block-index order, so every result is a pure function of
+  /// the block size — bit-identical across thread counts.  Throws
+  /// DegenerateRowError if any item's row is -inf under every class (the
+  /// lowest-indexed offending block wins, whatever thread found it).
   double update_wts(Classification& c);
 
   /// Reference E-step: the per-item virtual log_prob chain the batch

@@ -47,12 +47,6 @@ void Term::seed_distance_batch(data::ItemRange range, std::size_t seed_item,
     *out += seed_distance(i, seed_item);
 }
 
-std::unique_ptr<Term> Term::rebind(const data::Dataset&) const {
-  PAC_REQUIRE_MSG(false, "term family '" << to_string(spec_.kind)
-                                         << "' does not support rebinding");
-  return nullptr;
-}
-
 Model::Model(const data::Dataset& data, std::vector<TermSpec> specs,
              ModelConfig config)
     : data_(&data), config_(config) {

@@ -183,24 +183,16 @@ class Term {
                                    std::size_t seed_item, double* out,
                                    std::size_t stride) const;
 
-  /// log p(item of a *foreign* dataset | params): evaluates the same
-  /// density on data that was not used to build the model (AutoClass's
-  /// predict mode).  The foreign dataset must use a compatible schema.
-  virtual double log_prob_foreign(const data::Dataset& foreign,
-                                  std::size_t item,
-                                  std::span<const double> params) const = 0;
-
   /// Clone this term with its column spans repointed at `target` (a dataset
   /// with the training schema), keeping every trained prior and hoisted
-  /// constant byte-identical.  log_prob on the clone therefore produces
-  /// bit-identical values to the training-bound term evaluated on equal
-  /// data — this is what lets pac_serve route foreign query rows through
-  /// the batched log_prob_batch kernels (the serving hot path) instead of
-  /// the scalar log_prob_foreign.  Throws pac::Error if `target` violates a
-  /// family precondition (non-positive values for lognormal, missing values
-  /// in a multi_normal block).  The base implementation throws: a term
-  /// family without an override simply cannot serve.
-  virtual std::unique_ptr<Term> rebind(const data::Dataset& target) const;
+  /// constant byte-identical.  log_prob and log_prob_batch on the clone
+  /// therefore produce bit-identical values to the training-bound term
+  /// evaluated on equal data — this is how prediction on foreign rows
+  /// (ac::predict, and pac_serve through it) runs the same batched kernels
+  /// as the E-step.  Throws pac::Error if `target` violates a family
+  /// precondition (non-positive values for lognormal, missing values in a
+  /// multi_normal block).
+  virtual std::unique_ptr<Term> rebind(const data::Dataset& target) const = 0;
 
  protected:
   explicit Term(TermSpec spec) : spec_(std::move(spec)) {}
@@ -251,9 +243,10 @@ class Model {
   /// dataset: same term structure, same offsets, and — via Term::rebind —
   /// the same trained priors and constants, so evaluating a classification
   /// under the rebound model is bit-identical to evaluating the original on
-  /// equal data.  `target` must use the training schema.  This is the
-  /// serving path: pac_serve rebinds per query batch so the kernelized
-  /// E-step runs on wire-decoded rows.
+  /// equal data.  `target` must use the training schema and be non-empty.
+  /// This is the prediction path: ac::predict rebinds once per foreign
+  /// dataset (pac_serve once per query batch) so the kernelized E-step runs
+  /// on rows the model was not built from.
   Model rebound(const data::Dataset& target) const;
 
  private:

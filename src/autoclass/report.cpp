@@ -1,105 +1,108 @@
 #include "autoclass/report.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <cmath>
 #include <ostream>
+#include <span>
 
 #include "util/error.hpp"
 #include "util/math.hpp"
 
 namespace pac::ac {
 
-void fill_log_joint(const Classification& c, data::ItemRange block,
-                    double* rows) {
-  const Model& model = c.model();
-  const std::size_t j = c.num_classes();
-  for (std::size_t r = 0; r < block.size(); ++r)
-    for (std::size_t k = 0; k < j; ++k) rows[r * j + k] = c.log_pi(k);
-  for (std::size_t t = 0; t < model.num_terms(); ++t)
-    for (std::size_t k = 0; k < j; ++k)
-      model.term(t).log_prob_batch(block, c.param_block(k, t), rows + k, j);
-}
-
 namespace {
 
-/// Log joint log pi_j + log p(x_i | theta_j) for every class of item i.
-std::vector<double> log_joint(const Classification& c, std::size_t item) {
-  PAC_REQUIRE(item < c.model().dataset().num_items());
-  std::vector<double> row(c.num_classes());
-  fill_log_joint(c, data::ItemRange{item, item + 1}, row.data());
-  return row;
+/// Items per blocked report pass (matches the E-step's blocking).
+constexpr std::size_t kReportBlock = 256;
+
+/// The blocked row loop behind every report and prediction: fills the
+/// log-joint rows of items [0, n) of c's dataset kReportBlock items at a
+/// time and hands each to fn(item, row), row being num_classes mutable
+/// doubles.
+template <typename RowFn>
+void for_each_log_joint_row(const Classification& c, std::size_t n,
+                            RowFn&& fn) {
+  const std::size_t j = c.num_classes();
+  std::vector<double> rows(kReportBlock * j);
+  for (std::size_t begin = 0; begin < n; begin += kReportBlock) {
+    const data::ItemRange block{begin, std::min(begin + kReportBlock, n)};
+    fill_log_joint(c, block, rows.data());
+    for (std::size_t r = 0; r < block.size(); ++r)
+      fn(block.begin + r, std::span<double>(rows.data() + r * j, j));
+  }
 }
 
-/// Log joint over a foreign dataset's item.
-std::vector<double> log_joint_foreign(const Classification& c,
-                                      const data::Dataset& foreign,
-                                      std::size_t item) {
-  const Model& model = c.model();
-  PAC_REQUIRE_MSG(foreign.schema() == model.dataset().schema(),
-                  "foreign dataset schema differs from the training schema");
-  PAC_REQUIRE(item < foreign.num_items());
-  std::vector<double> row(c.num_classes());
-  for (std::size_t j = 0; j < c.num_classes(); ++j) {
-    double lp = c.log_pi(j);
-    for (std::size_t t = 0; t < model.num_terms(); ++t)
-      lp += model.term(t).log_prob_foreign(foreign, item,
-                                           c.param_block(j, t));
-    row[j] = lp;
-  }
-  return row;
+/// for_each_log_joint_row over a foreign dataset: c's parameters copied
+/// onto the model rebound to `foreign`, rebinding once for all its rows.
+template <typename RowFn>
+void for_each_foreign_row(const Classification& c,
+                          const data::Dataset& foreign, RowFn&& fn) {
+  if (foreign.num_items() == 0) return;  // Model::rebound rejects empty data
+  const Model model = c.model().rebound(foreign);
+  Classification bound(model, c.num_classes());
+  std::ranges::copy(c.log_pis(), bound.mutable_log_pis().begin());
+  std::ranges::copy(c.all_params(), bound.all_params_mutable().begin());
+  for_each_log_joint_row(bound, foreign.num_items(), fn);
+}
+
+std::int32_t argmax(std::span<const double> row) {
+  return static_cast<std::int32_t>(std::max_element(row.begin(), row.end()) -
+                                   row.begin());
+}
+
+/// Log-joint row -> posterior membership probabilities, in place.
+void normalize(std::span<double> row) {
+  const double lse = logsumexp(row);
+  for (double& v : row) v = std::exp(v - lse);
 }
 
 }  // namespace
 
-std::vector<double> predict_membership(const Classification& c,
-                                       const data::Dataset& foreign,
-                                       std::size_t item) {
-  auto row = log_joint_foreign(c, foreign, item);
-  const double lse = logsumexp(row);
-  for (double& v : row) v = std::exp(v - lse);
-  return row;
+PredictOutput predict(const Classification& c, const data::Dataset& foreign,
+                      bool want_membership) {
+  const std::size_t n = foreign.num_items();
+  const std::size_t j = c.num_classes();
+  PredictOutput out;
+  out.labels.resize(n);
+  if (want_membership) out.membership.resize(n * j);
+  for_each_foreign_row(c, foreign, [&](std::size_t i, std::span<double> row) {
+    out.labels[i] = argmax(row);
+    if (want_membership) {
+      normalize(row);
+      std::ranges::copy(row, out.membership.begin() + i * j);
+    }
+  });
+  return out;
 }
 
 std::vector<std::int32_t> predict_labels(const Classification& c,
                                          const data::Dataset& foreign) {
-  std::vector<std::int32_t> labels(foreign.num_items());
-  for (std::size_t i = 0; i < foreign.num_items(); ++i) {
-    const auto row = log_joint_foreign(c, foreign, i);
-    labels[i] = static_cast<std::int32_t>(
-        std::max_element(row.begin(), row.end()) - row.begin());
-  }
-  return labels;
+  return predict(c, foreign, /*want_membership=*/false).labels;
 }
 
 double predict_log_likelihood(const Classification& c,
                               const data::Dataset& foreign) {
   KahanSum total;
-  for (std::size_t i = 0; i < foreign.num_items(); ++i)
-    total.add(logsumexp(log_joint_foreign(c, foreign, i)));
+  for_each_foreign_row(c, foreign, [&](std::size_t, std::span<double> row) {
+    total.add(logsumexp(row));
+  });
   return total.value();
 }
 
 std::vector<std::int32_t> assign_labels(const Classification& c) {
   const std::size_t n = c.model().dataset().num_items();
-  const std::size_t j = c.num_classes();
   std::vector<std::int32_t> labels(n);
-  std::vector<double> rows(kReportBlock * j);
-  for (std::size_t begin = 0; begin < n; begin += kReportBlock) {
-    const data::ItemRange block{begin, std::min(begin + kReportBlock, n)};
-    fill_log_joint(c, block, rows.data());
-    for (std::size_t r = 0; r < block.size(); ++r) {
-      const double* row = rows.data() + r * j;
-      labels[block.begin + r] =
-          static_cast<std::int32_t>(std::max_element(row, row + j) - row);
-    }
-  }
+  for_each_log_joint_row(c, n, [&](std::size_t i, std::span<double> row) {
+    labels[i] = argmax(row);
+  });
   return labels;
 }
 
 std::vector<double> membership(const Classification& c, std::size_t item) {
-  auto row = log_joint(c, item);
-  const double lse = logsumexp(row);
-  for (double& v : row) v = std::exp(v - lse);
+  PAC_REQUIRE(item < c.model().dataset().num_items());
+  std::vector<double> row(c.num_classes());
+  fill_log_joint(c, data::ItemRange{item, item + 1}, row.data());
+  normalize(row);
   return row;
 }
 
@@ -124,8 +127,8 @@ void write_case_report(std::ostream& os, const Classification& c,
   const std::size_t limit =
       max_items == 0 ? n : std::min(max_items, n);
   os << "# case report: item  best_class p(best)  second p(second)\n";
-  for (std::size_t i = 0; i < limit; ++i) {
-    const auto m = membership(c, i);
+  for_each_log_joint_row(c, limit, [&](std::size_t i, std::span<double> m) {
+    normalize(m);
     std::size_t best = 0;
     for (std::size_t j = 1; j < m.size(); ++j)
       if (m[j] > m[best]) best = j;
@@ -135,7 +138,7 @@ void write_case_report(std::ostream& os, const Classification& c,
     os << i << "  " << best << " " << m[best];
     if (m.size() > 1) os << "  " << second << " " << m[second];
     os << "\n";
-  }
+  });
   if (limit < n) os << "# ... " << (n - limit) << " more items\n";
   os.flush();
 }
@@ -143,19 +146,12 @@ void write_case_report(std::ostream& os, const Classification& c,
 double mean_max_membership(const Classification& c) {
   const std::size_t n = c.model().dataset().num_items();
   PAC_REQUIRE(n > 0);
-  const std::size_t j = c.num_classes();
   KahanSum sum;
-  std::vector<double> rows(kReportBlock * j);
-  for (std::size_t begin = 0; begin < n; begin += kReportBlock) {
-    const data::ItemRange block{begin, std::min(begin + kReportBlock, n)};
-    fill_log_joint(c, block, rows.data());
-    for (std::size_t r = 0; r < block.size(); ++r) {
-      double* row = rows.data() + r * j;
-      const double lse = logsumexp(std::span<const double>(row, j));
-      // max_j exp(row_j - lse): exp is monotone, so normalize only the max.
-      sum.add(std::exp(*std::max_element(row, row + j) - lse));
-    }
-  }
+  for_each_log_joint_row(c, n, [&](std::size_t, std::span<double> row) {
+    // max_j exp(row_j - lse): exp is monotone, so normalize only the max.
+    sum.add(std::exp(*std::max_element(row.begin(), row.end()) -
+                     logsumexp(row)));
+  });
   return sum.value() / static_cast<double>(n);
 }
 

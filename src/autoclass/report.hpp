@@ -1,5 +1,7 @@
-// Reporting utilities: hard assignments, membership probabilities, and the
-// attribute-influence report (AutoClass's "influ-o-text" output).
+// Reporting utilities: hard assignments, membership probabilities, the
+// attribute-influence report (AutoClass's "influ-o-text" output), and
+// prediction on foreign data.  Every per-item quantity here comes from
+// fill_log_joint, the E-step's own log-joint fill.
 #pragma once
 
 #include <cstdint>
@@ -9,17 +11,6 @@
 #include "autoclass/classification.hpp"
 
 namespace pac::ac {
-
-/// Items per blocked report pass (matches the E-step's blocking).
-inline constexpr std::size_t kReportBlock = 256;
-
-/// Fill `rows` (block.size() x num_classes, row-major) with the log joint
-/// log pi_j + log p(x_i | theta_j) via the batched term kernels — the same
-/// accumulation order as the E-step, so values match the training path
-/// bit-for-bit.  This is the kernel entry every report/prediction helper
-/// and the pac_serve batch evaluator route through.
-void fill_log_joint(const Classification& c, data::ItemRange block,
-                    double* rows);
 
 /// Hard class labels: argmax_j of the posterior membership of each item.
 std::vector<std::int32_t> assign_labels(const Classification& c);
@@ -56,18 +47,30 @@ double mean_max_membership(const Classification& c);
 // ---- prediction (AutoClass's "predict" mode): apply a trained
 //      classification to data that was not used for training ----
 
-/// Posterior membership of one item of a foreign dataset (must share the
-/// training schema).  Sums to 1.
-std::vector<double> predict_membership(const Classification& c,
-                                       const data::Dataset& foreign,
-                                       std::size_t item);
+struct PredictOutput {
+  std::vector<std::int32_t> labels;  // one per row
+  std::vector<double> membership;    // rows x num_classes when requested
+};
 
-/// Hard labels for every item of a foreign dataset.
+/// Classify every row of `foreign`, a dataset with the training schema.
+/// c's parameters are copied once onto c.model().rebound(foreign), and the
+/// rows are then evaluated by fill_log_joint in blocks — the E-step's
+/// kernels, so on the training rows themselves the labels equal
+/// assign_labels and the memberships equal membership() bit for bit.
+/// Memberships (each row sums to 1) are filled only if `want_membership`.
+/// An empty `foreign` gives empty outputs.  Throws pac::Error on a schema
+/// mismatch or a row that violates a term family's precondition (see
+/// Term::rebind).  pac_serve answers predict requests through this call.
+PredictOutput predict(const Classification& c, const data::Dataset& foreign,
+                      bool want_membership);
+
+/// Hard labels for every item of a foreign dataset (predict's labels).
 std::vector<std::int32_t> predict_labels(const Classification& c,
                                          const data::Dataset& foreign);
 
-/// Per-item observed log-likelihood under the classification: a held-out
-/// score for comparing classifications on fresh data.
+/// Sum over the items of a foreign dataset of their observed
+/// log-likelihood under the classification: a held-out score for comparing
+/// classifications on fresh data.  0.0 for an empty dataset.
 double predict_log_likelihood(const Classification& c,
                               const data::Dataset& foreign);
 

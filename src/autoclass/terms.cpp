@@ -229,14 +229,6 @@ class SingleNormalTerm final : public Term {
                   : sq(x[r] - b) / prior_var_;
   }
 
-  double log_prob_foreign(const data::Dataset& foreign, std::size_t item,
-                          std::span<const double> params) const override {
-    const double x = foreign.real_value(item, spec_.attributes[0]);
-    if (data::is_missing_real(x)) return 0.0;
-    const double z = (x - params[0]) / params[1];
-    return -0.5 * (kLog2Pi + z * z) - params[2] + std::log(error_);
-  }
-
   std::unique_ptr<Term> rebind(const data::Dataset& target) const override {
     // Copy keeps the trained priors (error_, prior_*, strengths); only the
     // data binding moves, so log_prob on the clone is the same expression
@@ -444,19 +436,6 @@ class SingleMultinomialTerm final : public Term {
                   ? 0.5
                   : (a == b ? 0.0 : 1.0);
     }
-  }
-
-  double log_prob_foreign(const data::Dataset& foreign, std::size_t item,
-                          std::span<const double> params) const override {
-    const std::int32_t v =
-        foreign.discrete_value(item, spec_.attributes[0]);
-    if (v == data::kMissingDiscrete) {
-      return missing_as_value_ ? params[num_values_ - 1] : 0.0;
-    }
-    PAC_REQUIRE_MSG(static_cast<std::size_t>(v) <
-                        num_values_ - (missing_as_value_ ? 1 : 0),
-                    "foreign discrete value out of the training range");
-    return params[static_cast<std::size_t>(v)];
   }
 
   std::unique_ptr<Term> rebind(const data::Dataset& target) const override {
@@ -817,25 +796,6 @@ class MultiNormalTerm final : public Term {
     }
   }
 
-  double log_prob_foreign(const data::Dataset& foreign, std::size_t item,
-                          std::span<const double> params) const override {
-    const std::size_t d = dim_;
-    double diff_stack[32];
-    PAC_CHECK(d <= 32);
-    std::span<double> diff(diff_stack, d);
-    for (std::size_t k = 0; k < d; ++k) {
-      const double x = foreign.real_value(item, spec_.attributes[k]);
-      PAC_REQUIRE_MSG(!data::is_missing_real(x),
-                      "multi_normal prediction needs complete rows");
-      diff[k] = x - params[k];
-    }
-    const std::span<const double> chol(params.data() + d, d * d);
-    const double logdet = params[d + d * d];
-    const double maha = spd::mahalanobis2(chol, d, diff);
-    return -0.5 * (static_cast<double>(d) * kLog2Pi + logdet + maha) +
-           log_error_sum_;
-  }
-
   std::unique_ptr<Term> rebind(const data::Dataset& target) const override {
     auto clone = std::make_unique<MultiNormalTerm>(*this);
     clone->data_ = &target;
@@ -1102,16 +1062,6 @@ class SingleLognormalTerm final : public Term {
                   : sq(lx[r] - b) / prior_var_;
   }
 
-  double log_prob_foreign(const data::Dataset& foreign, std::size_t item,
-                          std::span<const double> params) const override {
-    const double x = foreign.real_value(item, spec_.attributes[0]);
-    if (data::is_missing_real(x)) return 0.0;
-    PAC_REQUIRE_MSG(x > 0.0, "single_lognormal needs positive values");
-    const double lx = std::log(x);
-    const double z = (lx - params[0]) / params[1];
-    return -0.5 * (kLog2Pi + z * z) - params[2] - lx + std::log(rel_error_);
-  }
-
   std::unique_ptr<Term> rebind(const data::Dataset& target) const override {
     // The precomputed log column is rebuilt from the target data; the
     // trained priors stay.  Positivity is a hard precondition, as at
@@ -1241,10 +1191,6 @@ class IgnoreTerm final : public Term {
     return "(ignored)";
   }
   double seed_distance(std::size_t, std::size_t) const override {
-    return 0.0;
-  }
-  double log_prob_foreign(const data::Dataset&, std::size_t,
-                          std::span<const double>) const override {
     return 0.0;
   }
   std::unique_ptr<Term> rebind(const data::Dataset&) const override {

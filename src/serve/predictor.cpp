@@ -1,12 +1,8 @@
 #include "serve/predictor.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <string>
 
-#include "autoclass/report.hpp"
 #include "serve/protocol.hpp"
-#include "util/math.hpp"
 
 namespace pac::serve {
 
@@ -60,44 +56,6 @@ void validate_batch(const AdmissionRules& rules, const data::Dataset& batch) {
                             " must be > 0 under a lognormal term");
     }
   }
-}
-
-PredictOutput predict_batch(const ac::Classification& c,
-                            const data::Dataset& batch,
-                            bool want_membership) {
-  // Rebind the trained model to the query rows; copy the classification's
-  // parameters verbatim so the batched kernels see byte-identical state.
-  const ac::Model eval_model = c.model().rebound(batch);
-  const std::size_t j = c.num_classes();
-  ac::Classification ec(eval_model, j);
-  std::copy(c.log_pis().begin(), c.log_pis().end(),
-            ec.mutable_log_pis().begin());
-  std::copy(c.weights().begin(), c.weights().end(),
-            ec.mutable_weights().begin());
-  std::copy(c.all_params().begin(), c.all_params().end(),
-            ec.all_params_mutable().begin());
-
-  const std::size_t n = batch.num_items();
-  PredictOutput out;
-  out.labels.resize(n);
-  if (want_membership) out.membership.resize(n * j);
-
-  std::vector<double> rows(ac::kReportBlock * j);
-  for (std::size_t begin = 0; begin < n; begin += ac::kReportBlock) {
-    const data::ItemRange block{begin, std::min(begin + ac::kReportBlock, n)};
-    ac::fill_log_joint(ec, block, rows.data());
-    for (std::size_t r = 0; r < block.size(); ++r) {
-      double* row = rows.data() + r * j;
-      out.labels[block.begin + r] =
-          static_cast<std::int32_t>(std::max_element(row, row + j) - row);
-      if (want_membership) {
-        const double lse = logsumexp(std::span<const double>(row, j));
-        double* m = out.membership.data() + (block.begin + r) * j;
-        for (std::size_t k = 0; k < j; ++k) m[k] = std::exp(row[k] - lse);
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace pac::serve

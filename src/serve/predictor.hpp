@@ -1,12 +1,12 @@
-// Batched classification inference for pac_serve.
+// Classification inference for pac_serve.
 //
-// The serving hot path routes wire-decoded query rows through the SAME
-// kernel the offline reports use: Model::rebound repoints the trained
-// terms' column spans at the query batch (priors and hoisted constants
-// byte-identical), and ac::fill_log_joint evaluates the batch through the
-// kernelized log_prob_batch tier.  Responses are therefore bit-identical
-// to predict_labels / predict_membership on equal rows — the contract
-// tests/test_serve.cpp memcmp-checks.
+// The serving hot path is offline prediction: predict_batch is ac::predict,
+// which copies the trained parameters onto Model::rebound(batch) once and
+// evaluates the wire-decoded query rows through ac::fill_log_joint — the
+// E-step's own kernelized log-joint fill.  A served response is therefore
+// the same computation as ac::predict_labels on equal rows, and
+// tests/test_serve.cpp diffs both against a per-item scalar
+// Term::log_prob reference.
 //
 // Admission rules are derived ONCE from the model's term structure and
 // enforced per request at decode time (on the connection's reader thread),
@@ -16,10 +16,9 @@
 // mid-batch and poisoning co-batched neighbours.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
-#include "autoclass/classification.hpp"
+#include "autoclass/report.hpp"
 #include "data/dataset.hpp"
 
 namespace pac::serve {
@@ -39,16 +38,10 @@ AdmissionRules derive_admission_rules(const ac::Model& model);
 /// the first offending row and attribute.
 void validate_batch(const AdmissionRules& rules, const data::Dataset& batch);
 
-struct PredictOutput {
-  std::vector<std::int32_t> labels;  // one per row
-  std::vector<double> membership;    // rows x num_classes when requested
-};
+using ac::PredictOutput;
 
 /// Classify every row of `batch` under `c` (trained on another dataset with
-/// the same schema).  Labels match predict_labels and memberships match
-/// predict_membership bit-for-bit; evaluation runs through fill_log_joint
-/// in kReportBlock blocks.
-PredictOutput predict_batch(const ac::Classification& c,
-                            const data::Dataset& batch, bool want_membership);
+/// the same schema): serve's name for ac::predict.
+inline constexpr auto& predict_batch = ac::predict;
 
 }  // namespace pac::serve

@@ -2,7 +2,14 @@
 // prediction on foreign data, and checkpoint/resume.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cmath>
+#include <csignal>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "autoclass/checkpoint.hpp"
@@ -56,14 +63,17 @@ TEST(Lognormal, DensityIntegratesToOne) {
   const Model model = lognormal_model(d);
   // p(x) = N(log x | m, s) / x, times rel_error; integrate over x > 0.
   const std::vector<double> params = {0.0, 0.5, std::log(0.5)};
-  double integral = 0.0;
+  // Each grid point is a row of a probe dataset; log_prob on the model
+  // rebound to it evaluates the density there.
   const double dx = 1e-3;
-  Dataset probe(d.schema(), 1);
-  for (double x = dx; x < 20.0; x += dx) {
-    probe.set_real(0, 0, x);
-    integral +=
-        std::exp(model.term(0).log_prob_foreign(probe, 0, params)) * dx;
-  }
+  std::vector<double> grid;
+  for (double x = dx; x < 20.0; x += dx) grid.push_back(x);
+  Dataset probe(d.schema(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) probe.set_real(i, 0, grid[i]);
+  const Model on_probe = model.rebound(probe);
+  double integral = 0.0;
+  for (std::size_t i = 0; i < grid.size(); ++i)
+    integral += std::exp(on_probe.term(0).log_prob(i, params)) * dx;
   EXPECT_NEAR(integral, 0.01, 1e-4);  // = rel_error
 }
 
@@ -230,12 +240,19 @@ TEST(Predict, MembershipSumsToOne) {
   config.max_tries = 1;
   config.em.max_cycles = 30;
   const SearchResult result = sequential_search(model, config);
+  const Classification& c = result.top();
+  const PredictOutput out = predict(c, test.dataset, true);
+  ASSERT_EQ(out.membership.size(), 50 * c.num_classes());
   for (std::size_t i = 0; i < 50; ++i) {
-    const auto m = predict_membership(result.top(), test.dataset, i);
     double sum = 0.0;
-    for (const double v : m) sum += v;
+    for (std::size_t k = 0; k < c.num_classes(); ++k)
+      sum += out.membership[i * c.num_classes() + k];
     EXPECT_NEAR(sum, 1.0, 1e-9);
   }
+  // Zero rows: nothing to rebind, empty outputs.
+  const PredictOutput none = predict(c, test.dataset.slice(0, 0), true);
+  EXPECT_TRUE(none.labels.empty());
+  EXPECT_TRUE(none.membership.empty());
 }
 
 TEST(Predict, HeldOutLikelihoodPrefersTrueishModel) {
@@ -251,6 +268,8 @@ TEST(Predict, HeldOutLikelihoodPrefersTrueishModel) {
   const SearchResult trivial = sequential_search(model, config);
   EXPECT_GT(predict_log_likelihood(good.top(), test.dataset),
             predict_log_likelihood(trivial.top(), test.dataset));
+  EXPECT_EQ(predict_log_likelihood(good.top(), test.dataset.slice(0, 0)),
+            0.0);
 }
 
 TEST(Predict, SchemaMismatchThrows) {
@@ -263,6 +282,28 @@ TEST(Predict, SchemaMismatchThrows) {
   const SearchResult result = sequential_search(model, config);
   Dataset other(Schema({Attribute::real("different", 0.5)}), 3);
   EXPECT_THROW(predict_labels(result.top(), other), pac::Error);
+  EXPECT_THROW(predict(result.top(), other, true), pac::Error);
+
+  // Rows that break a term family's precondition: a value <= 0 under a
+  // log-normal term.
+  const Dataset positive = lognormal_dataset(200, 0.5, 0.4, 19);
+  const Model lognormal = lognormal_model(positive);
+  Classification lc(lognormal, 1);
+  Dataset bad = positive.slice(0, 3);
+  bad.set_real(1, 0, 0.0);
+  EXPECT_THROW(predict(lc, bad, false), pac::Error);
+  bad.set_real(1, 0, -1.0);
+  EXPECT_THROW(predict_labels(lc, bad), pac::Error);
+
+  // A missing value in a multi_normal block.
+  const data::LabeledDataset ld = data::paper_dataset(200, 20);
+  const Model correlated = Model::correlated_model(ld.dataset);
+  ASSERT_EQ(correlated.term(0).spec().kind, TermKind::kMultiNormal);
+  Classification mc(correlated, 1);
+  Dataset holes = ld.dataset.slice(0, 3);
+  holes.set_real(2, 0, data::missing_real());
+  EXPECT_THROW(predict(mc, holes, false), pac::Error);
+  EXPECT_THROW(predict_log_likelihood(mc, holes), pac::Error);
 }
 
 // ---- case report ----
@@ -446,6 +487,67 @@ TEST(Checkpoint, FileRoundTrip) {
   EXPECT_EQ(loaded.top().cs_score, result.top().cs_score);
   EXPECT_THROW(load_search_result_file("/nonexistent/x.search", model),
                pac::Error);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+TEST(Checkpoint, FailedSaveKeepsPreviousFile) {
+  const data::LabeledDataset ld = data::paper_dataset(200, 25);
+  const Model model = Model::default_model(ld.dataset);
+  SearchConfig config;
+  config.start_j_list = {2};
+  config.max_tries = 1;
+  config.em.max_cycles = 10;
+  const SearchResult first = sequential_search(model, config);
+  config.start_j_list = {4};
+  config.max_tries = 3;
+  const SearchResult second = sequential_search(model, config);
+
+  const std::string path = ::testing::TempDir() + "pac_failed_save_" +
+                           std::to_string(::getpid()) + ".search";
+  const std::string tmp = path + ".tmp";
+  save_search_result_file(path, first);
+  const std::string saved = read_file(path);
+  ASSERT_FALSE(saved.empty());
+
+  // A write that runs out of room (RLIMIT_FSIZE makes write() fail with
+  // EFBIG, as a full disk fails it with ENOSPC) must throw, name the path,
+  // and leave the previous checkpoint byte-identical.
+  rlimit old_limit{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit small = old_limit;
+  small.rlim_cur = 64;
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &small), 0);
+  std::string what;
+  try {
+    save_search_result_file(path, second);
+  } catch (const pac::Error& e) {
+    what = e.what();
+  }
+  ::setrlimit(RLIMIT_FSIZE, &old_limit);
+  std::signal(SIGXFSZ, old_handler);
+  EXPECT_NE(what.find(path), std::string::npos) << what;
+  EXPECT_EQ(read_file(path), saved);
+  EXPECT_FALSE(std::ifstream(tmp).good()) << "partial temp file left behind";
+
+  // So must a temp file that cannot be created at all.
+  ASSERT_EQ(::mkdir(tmp.c_str(), 0700), 0);
+  EXPECT_THROW(save_search_result_file(path, second), pac::Error);
+  ::rmdir(tmp.c_str());
+  EXPECT_EQ(read_file(path), saved);
+
+  // The next good save replaces the file whole.
+  save_search_result_file(path, second);
+  std::ostringstream expected;
+  save_search_result(expected, second);
+  EXPECT_EQ(read_file(path), expected.str());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -161,10 +161,12 @@ TEST_P(PropertySeed, PredictConsistentWithMembershipArgmax) {
   worker.converge(c, config);
 
   const auto labels = predict_labels(c, model.dataset());
+  const PredictOutput out = predict(c, model.dataset(), true);
+  EXPECT_EQ(out.labels, labels);
   for (std::size_t i = 0; i < 20; ++i) {
-    const auto m = predict_membership(c, model.dataset(), i * 14);
+    const double* m = out.membership.data() + i * 14 * c.num_classes();
     std::size_t argmax = 0;
-    for (std::size_t k = 1; k < m.size(); ++k)
+    for (std::size_t k = 1; k < c.num_classes(); ++k)
       if (m[k] > m[argmax]) argmax = k;
     EXPECT_EQ(static_cast<std::size_t>(labels[i * 14]), argmax);
   }

@@ -1,13 +1,14 @@
 // pac_serve subsystem tests: checkpoint round-trips through the serving
 // kernel for every term family, corrupt-checkpoint rejection with named
-// line/field, predictor bit-identity against the offline prediction
-// helpers, the wire protocol codec, and the live server end to end —
-// concurrent clients, hot reload under load, backpressure, and malformed
-// requests.
+// line/field, predictor bit-identity against a per-item scalar
+// Term::log_prob reference, the wire protocol codec, and the live server
+// end to end — concurrent clients, hot reload under load, backpressure,
+// and malformed requests.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -23,6 +24,7 @@
 #include "serve/client.hpp"
 #include "serve/predictor.hpp"
 #include "serve/server.hpp"
+#include "util/math.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -252,15 +254,32 @@ TEST(Predictor, MatchesOfflinePredictionHelpers) {
   const Dataset probe = five_family_dataset(150, 27);
 
   const PredictOutput out = predict_batch(c, probe, true);
-  const auto expected_labels = ac::predict_labels(c, probe);
-  ASSERT_EQ(out.labels.size(), expected_labels.size());
-  EXPECT_EQ(out.labels, expected_labels);
+  EXPECT_EQ(out.labels, ac::predict_labels(c, probe));
+
+  // Independent oracle: per item, the scalar Term::log_prob of the model
+  // rebound to the probe rows, summed as log pi then terms in index order,
+  // then normalized with logsumexp.
+  const ac::Model on_probe = model.rebound(probe);
   const std::size_t j = c.num_classes();
+  ASSERT_EQ(out.labels.size(), probe.num_items());
+  ASSERT_EQ(out.membership.size(), probe.num_items() * j);
+  std::vector<double> row(j);
   for (std::size_t i = 0; i < probe.num_items(); ++i) {
-    const auto m = ac::predict_membership(c, probe, i);
-    for (std::size_t k = 0; k < j; ++k)
-      EXPECT_EQ(out.membership[i * j + k], m[k])
+    for (std::size_t k = 0; k < j; ++k) {
+      double lp = c.log_pi(k);
+      for (std::size_t t = 0; t < on_probe.num_terms(); ++t)
+        lp += on_probe.term(t).log_prob(i, c.param_block(k, t));
+      row[k] = lp;
+    }
+    EXPECT_EQ(out.labels[i],
+              std::max_element(row.begin(), row.end()) - row.begin())
+        << "row " << i;
+    const double lse = logsumexp(row);
+    for (std::size_t k = 0; k < j; ++k) {
+      const double m = std::exp(row[k] - lse);
+      EXPECT_EQ(0, std::memcmp(&out.membership[i * j + k], &m, sizeof m))
           << "row " << i << " class " << k;
+    }
   }
 }
 
