@@ -45,6 +45,10 @@ PAIRS = [
     ("estep-simd", "BM_UpdateWtsScalarGaussian", "BM_UpdateWtsGaussianSimd"),
     ("estep-simd-over-batch", "BM_UpdateWtsGaussian", "BM_UpdateWtsGaussianSimd"),
     ("estep-simd-multinormal", "BM_UpdateWtsMultiNormal", "BM_UpdateWtsMultiNormalSimd"),
+    # Row normalizer (simd::normalize_rows, J=8, one 256-row block): the
+    # AVX2 det_exp lanes vs the same normalizer pinned to the portable
+    # reference.
+    ("normalize-simd", "BM_NormalizeRows", "BM_NormalizeRowsSimd"),
     ("mstep-batch-kernel", "BM_UpdateParamsScalarGaussian", "BM_UpdateParamsGaussian"),
     ("mstep-fastmath", "BM_UpdateParamsGaussian", "BM_UpdateParamsGaussianFastMath"),
     ("mstep-fastmath-multinormal", "BM_UpdateParamsMultiNormal", "BM_UpdateParamsMultiNormalFastMath"),

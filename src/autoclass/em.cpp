@@ -8,6 +8,7 @@
 #include "util/error.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
@@ -225,34 +226,27 @@ void EmWorker::random_init(Classification& c, std::uint64_t seed,
   c.log_likelihood = 0.0;
 }
 
-void EmWorker::normalize_row(std::size_t item, double* row, std::size_t j,
-                             std::span<double> wj, KahanSum& loglike) {
-  // The fast tier swaps in the reassociated 4-lane row reduction; the exact
-  // tier keeps the sequential oracle fold.
-  const std::span<const double> row_span(row, j);
-  const double lse =
-      fast_math_ ? logsumexp_fast(row_span) : logsumexp(row_span);
-  if (!std::isfinite(lse)) {
-    // Every class is at -inf (or a NaN crept in): exp-normalizing would
-    // turn the whole row into NaNs that silently poison the weight
-    // reduction.  Fail loudly, naming the item and its least-impossible
-    // class.
-    std::size_t best = 0;
-    for (std::size_t k = 1; k < j; ++k)
-      if (row[k] > row[best]) best = k;
-    std::ostringstream os;
-    os << "update_wts: item " << item << " has log-likelihood " << lse
-       << " under every class (J=" << j << ", best class " << best << " at "
-       << row[best] << ") — zero-support value or emptied class; widen the "
-       << "priors or drop the offending attribute";
-    throw DegenerateRowError(os.str(), item, j);
-  }
-  loglike.add(lse);
-  for (std::size_t k = 0; k < j; ++k) {
-    row[k] = std::exp(row[k] - lse);
-    wj[k] += row[k];
-  }
+namespace {
+
+/// The E-step's degenerate-row failure: `row` (still the raw log-joint
+/// values, the normalizer stops before touching it) is all -inf, holds a
+/// +inf or holds a NaN.  Exp-normalizing it would turn the whole row into
+/// NaNs that silently poison the weight reduction, so fail loudly, naming
+/// the item and its least-impossible class.
+DegenerateRowError degenerate_row_error(std::size_t item, const double* row,
+                                        std::size_t j) {
+  std::size_t best = 0;
+  for (std::size_t k = 1; k < j; ++k)
+    if (row[k] > row[best]) best = k;
+  std::ostringstream os;
+  os << "update_wts: item " << item
+     << " has no finite log-likelihood (J=" << j << ", best class " << best
+     << " at " << row[best] << ") — zero-support value, emptied class or "
+     << "NaN parameter; widen the priors or drop the offending attribute";
+  return DegenerateRowError(os.str(), item, j);
 }
+
+}  // namespace
 
 double EmWorker::finish_update_wts(Classification& c,
                                    std::span<double> wj_and_loglike) {
@@ -293,10 +287,15 @@ double EmWorker::update_wts_blocked(Classification& c, FillBlock&& fill) {
     double* rows = weights_.data() + (block.begin - range_.begin) * j;
     try {
       fill(block, rows);
-      const std::span<double> wj(block_wj.data() + b * j, j);
-      for (std::size_t r = 0; r < block.size(); ++r)
-        normalize_row(block.begin + r, rows + r * j, j, wj,
-                      block_loglike[b]);
+      double lse[kEStepBlock];
+      const std::size_t bad = simd::normalize_rows(rows, block.size(), j, lse);
+      if (bad < block.size())
+        throw degenerate_row_error(block.begin + bad, rows + bad * j, j);
+      double* wj = block_wj.data() + b * j;
+      for (std::size_t r = 0; r < block.size(); ++r) {
+        block_loglike[b].add(lse[r]);
+        for (std::size_t k = 0; k < j; ++k) wj[k] += rows[r * j + k];
+      }
     } catch (...) {
       block_error[b] = std::current_exception();
     }

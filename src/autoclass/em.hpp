@@ -33,7 +33,6 @@
 #include "autoclass/classification.hpp"
 #include "data/dataset.hpp"
 #include "util/error.hpp"
-#include "util/math.hpp"
 
 namespace pac {
 class CounterRng;
@@ -46,10 +45,11 @@ class Recorder;
 
 namespace pac::ac {
 
-/// E-step failure: an item's likelihood row degenerated to -inf (or NaN)
-/// under *every* class — e.g. a zero-support multinomial symbol in an
-/// emptied class — which would otherwise flow through logsumexp into NaN
-/// membership weights and silently poison the reduction.
+/// E-step failure: an item's likelihood row has no finite maximum — -inf
+/// under *every* class (e.g. a zero-support multinomial symbol in an
+/// emptied class), a +inf entry, or a NaN anywhere — which would otherwise
+/// flow through the row normalizer into NaN membership weights and silently
+/// poison the reduction.
 class DegenerateRowError : public Error {
  public:
   DegenerateRowError(std::string message, std::size_t bad_item,
@@ -110,11 +110,12 @@ struct EmConfig {
   /// thread count*: per-block partials are folded in block-index order, so
   /// every value is bit-identical for any setting.
   int threads = 0;
-  /// Opt-in fast-math tier (DESIGN.md §5): > 0 enables the reassociated
-  /// 4-lane folds in the E-step row reductions (logsumexp_fast) and the
-  /// M-step moment sums (Term::accumulate_batch_fast); < 0 forces them
-  /// off; 0 = read the PAC_FAST_MATH environment variable (unset/0/off =
-  /// exact tier).  Fast-math results are still deterministic — the lane
+  /// Opt-in fast-math tier (DESIGN.md §5), M-step only: > 0 enables the
+  /// reassociated 4-lane folds of the M-step moment sums
+  /// (Term::accumulate_batch_fast); < 0 forces them off; 0 = read the
+  /// PAC_FAST_MATH environment variable (unset/0/off = exact tier).  The
+  /// E-step row normalization is the same deterministic normalizer in
+  /// both tiers.  Fast-math results are still deterministic — the lane
   /// association is fixed by contract, so they are identical across SIMD
   /// levels, thread counts, and transports — but they are only
   /// tolerance-equal to the default tier, not bit-identical.
@@ -272,16 +273,13 @@ class EmWorker {
   /// Common epilogue of both M-step paths: charge, reduce, MAP updates.
   void finish_update_parameters(Classification& c);
   /// Shared E-step scaffolding: block the partition, run `fill` per block
-  /// (work-shared), normalize rows into per-block partials, fold them in
-  /// block order, and finish.
+  /// (work-shared), normalize each block's rows with simd::normalize_rows
+  /// (throwing DegenerateRowError for the first degenerate row), fold the
+  /// lse values and weights into per-block partials, fold those in block
+  /// order, and finish.  Both update_wts paths run this identical tail,
+  /// which is what keeps them bit-identical.
   template <typename FillBlock>
   double update_wts_blocked(Classification& c, FillBlock&& fill);
-  /// Shared E-step tail per item: logsumexp-normalize `row` in place (with
-  /// the degenerate-row guard), fold the lse into `loglike` and the
-  /// normalized weights into `wj`.  Both update_wts paths run this with the
-  /// identical per-item call order, which is what keeps them bit-identical.
-  void normalize_row(std::size_t item, double* row, std::size_t j,
-                     std::span<double> wj, KahanSum& loglike);
   /// Common epilogue of both E-step paths: charge, reduce, store results.
   double finish_update_wts(Classification& c,
                            std::span<double> wj_and_loglike);

@@ -1,12 +1,13 @@
 #include "autoclass/report.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 #include <ostream>
 #include <span>
 
 #include "util/error.hpp"
 #include "util/math.hpp"
+#include "util/simd.hpp"
 
 namespace pac::ac {
 
@@ -15,34 +16,33 @@ namespace {
 /// Items per blocked report pass (matches the E-step's blocking).
 constexpr std::size_t kReportBlock = 256;
 
-/// The blocked row loop behind every report and prediction: fills the
+/// The blocked loop behind every report and prediction: fills the
 /// log-joint rows of items [0, n) of c's dataset kReportBlock items at a
-/// time and hands each to fn(item, row), row being num_classes mutable
-/// doubles.
-template <typename RowFn>
-void for_each_log_joint_row(const Classification& c, std::size_t n,
-                            RowFn&& fn) {
+/// time and hands each block to fn(block, rows), rows being block.size()
+/// x num_classes mutable doubles.
+template <typename BlockFn>
+void for_each_log_joint_block(const Classification& c, std::size_t n,
+                              BlockFn&& fn) {
   const std::size_t j = c.num_classes();
   std::vector<double> rows(kReportBlock * j);
   for (std::size_t begin = 0; begin < n; begin += kReportBlock) {
     const data::ItemRange block{begin, std::min(begin + kReportBlock, n)};
     fill_log_joint(c, block, rows.data());
-    for (std::size_t r = 0; r < block.size(); ++r)
-      fn(block.begin + r, std::span<double>(rows.data() + r * j, j));
+    fn(block, rows.data());
   }
 }
 
-/// for_each_log_joint_row over a foreign dataset: c's parameters copied
+/// for_each_log_joint_block over a foreign dataset: c's parameters copied
 /// onto the model rebound to `foreign`, rebinding once for all its rows.
-template <typename RowFn>
-void for_each_foreign_row(const Classification& c,
-                          const data::Dataset& foreign, RowFn&& fn) {
+template <typename BlockFn>
+void for_each_foreign_block(const Classification& c,
+                            const data::Dataset& foreign, BlockFn&& fn) {
   if (foreign.num_items() == 0) return;  // Model::rebound rejects empty data
   const Model model = c.model().rebound(foreign);
   Classification bound(model, c.num_classes());
   std::ranges::copy(c.log_pis(), bound.mutable_log_pis().begin());
   std::ranges::copy(c.all_params(), bound.all_params_mutable().begin());
-  for_each_log_joint_row(bound, foreign.num_items(), fn);
+  for_each_log_joint_block(bound, foreign.num_items(), fn);
 }
 
 std::int32_t argmax(std::span<const double> row) {
@@ -50,10 +50,20 @@ std::int32_t argmax(std::span<const double> row) {
                                    row.begin());
 }
 
-/// Log-joint row -> posterior membership probabilities, in place.
-void normalize(std::span<double> row) {
-  const double lse = logsumexp(row);
-  for (double& v : row) v = std::exp(v - lse);
+/// Log-joint rows -> posterior membership probabilities in place, and
+/// lse[r] = log sum_k exp(row r): simd::normalize_rows, the E-step's own
+/// normalizer, carried past degenerate rows instead of failing.  Such a row
+/// (no finite maximum, or a NaN) becomes all NaN with a NaN lse, as it did
+/// under the old per-row logsumexp normalization.
+void normalize_block(double* rows, std::size_t n, std::size_t j,
+                     double* lse) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t r = 0;; ++r) {
+    r += simd::normalize_rows(rows + r * j, n - r, j, lse + r);
+    if (r == n) return;
+    std::fill_n(rows + r * j, j, kNaN);
+    lse[r] = kNaN;
+  }
 }
 
 }  // namespace
@@ -65,11 +75,14 @@ PredictOutput predict(const Classification& c, const data::Dataset& foreign,
   PredictOutput out;
   out.labels.resize(n);
   if (want_membership) out.membership.resize(n * j);
-  for_each_foreign_row(c, foreign, [&](std::size_t i, std::span<double> row) {
-    out.labels[i] = argmax(row);
+  double lse[kReportBlock];
+  for_each_foreign_block(c, foreign, [&](data::ItemRange block, double* rows) {
+    for (std::size_t r = 0; r < block.size(); ++r)
+      out.labels[block.begin + r] = argmax({rows + r * j, j});
     if (want_membership) {
-      normalize(row);
-      std::ranges::copy(row, out.membership.begin() + i * j);
+      normalize_block(rows, block.size(), j, lse);
+      std::copy_n(rows, block.size() * j,
+                  out.membership.begin() + block.begin * j);
     }
   });
   return out;
@@ -83,17 +96,21 @@ std::vector<std::int32_t> predict_labels(const Classification& c,
 double predict_log_likelihood(const Classification& c,
                               const data::Dataset& foreign) {
   KahanSum total;
-  for_each_foreign_row(c, foreign, [&](std::size_t, std::span<double> row) {
-    total.add(logsumexp(row));
+  double lse[kReportBlock];
+  for_each_foreign_block(c, foreign, [&](data::ItemRange block, double* rows) {
+    normalize_block(rows, block.size(), c.num_classes(), lse);
+    for (std::size_t r = 0; r < block.size(); ++r) total.add(lse[r]);
   });
   return total.value();
 }
 
 std::vector<std::int32_t> assign_labels(const Classification& c) {
   const std::size_t n = c.model().dataset().num_items();
+  const std::size_t j = c.num_classes();
   std::vector<std::int32_t> labels(n);
-  for_each_log_joint_row(c, n, [&](std::size_t i, std::span<double> row) {
-    labels[i] = argmax(row);
+  for_each_log_joint_block(c, n, [&](data::ItemRange block, double* rows) {
+    for (std::size_t r = 0; r < block.size(); ++r)
+      labels[block.begin + r] = argmax({rows + r * j, j});
   });
   return labels;
 }
@@ -102,7 +119,8 @@ std::vector<double> membership(const Classification& c, std::size_t item) {
   PAC_REQUIRE(item < c.model().dataset().num_items());
   std::vector<double> row(c.num_classes());
   fill_log_joint(c, data::ItemRange{item, item + 1}, row.data());
-  normalize(row);
+  double lse;
+  normalize_block(row.data(), 1, row.size(), &lse);
   return row;
 }
 
@@ -127,17 +145,22 @@ void write_case_report(std::ostream& os, const Classification& c,
   const std::size_t limit =
       max_items == 0 ? n : std::min(max_items, n);
   os << "# case report: item  best_class p(best)  second p(second)\n";
-  for_each_log_joint_row(c, limit, [&](std::size_t i, std::span<double> m) {
-    normalize(m);
-    std::size_t best = 0;
-    for (std::size_t j = 1; j < m.size(); ++j)
-      if (m[j] > m[best]) best = j;
-    std::size_t second = best == 0 ? (m.size() > 1 ? 1 : 0) : 0;
-    for (std::size_t j = 0; j < m.size(); ++j)
-      if (j != best && m[j] > m[second]) second = j;
-    os << i << "  " << best << " " << m[best];
-    if (m.size() > 1) os << "  " << second << " " << m[second];
-    os << "\n";
+  const std::size_t classes = c.num_classes();
+  double lse[kReportBlock];
+  for_each_log_joint_block(c, limit, [&](data::ItemRange block, double* rows) {
+    normalize_block(rows, block.size(), classes, lse);
+    for (std::size_t r = 0; r < block.size(); ++r) {
+      const std::span<const double> m(rows + r * classes, classes);
+      std::size_t best = 0;
+      for (std::size_t j = 1; j < m.size(); ++j)
+        if (m[j] > m[best]) best = j;
+      std::size_t second = best == 0 ? (m.size() > 1 ? 1 : 0) : 0;
+      for (std::size_t j = 0; j < m.size(); ++j)
+        if (j != best && m[j] > m[second]) second = j;
+      os << block.begin + r << "  " << best << " " << m[best];
+      if (m.size() > 1) os << "  " << second << " " << m[second];
+      os << "\n";
+    }
   });
   if (limit < n) os << "# ... " << (n - limit) << " more items\n";
   os.flush();
@@ -146,11 +169,14 @@ void write_case_report(std::ostream& os, const Classification& c,
 double mean_max_membership(const Classification& c) {
   const std::size_t n = c.model().dataset().num_items();
   PAC_REQUIRE(n > 0);
+  const std::size_t j = c.num_classes();
   KahanSum sum;
-  for_each_log_joint_row(c, n, [&](std::size_t, std::span<double> row) {
-    // max_j exp(row_j - lse): exp is monotone, so normalize only the max.
-    sum.add(std::exp(*std::max_element(row.begin(), row.end()) -
-                     logsumexp(row)));
+  double lse[kReportBlock];
+  for_each_log_joint_block(c, n, [&](data::ItemRange block, double* rows) {
+    normalize_block(rows, block.size(), j, lse);
+    // The normalized max is exp(0) / sum = 1 / sum, the row's largest entry.
+    for (std::size_t r = 0; r < block.size(); ++r)
+      sum.add(*std::max_element(rows + r * j, rows + (r + 1) * j));
   });
   return sum.value() / static_cast<double>(n);
 }

@@ -1,7 +1,8 @@
 // Reporting utilities: hard assignments, membership probabilities, the
 // attribute-influence report (AutoClass's "influ-o-text" output), and
 // prediction on foreign data.  Every per-item quantity here comes from
-// fill_log_joint, the E-step's own log-joint fill.
+// fill_log_joint, the E-step's own log-joint fill, and every membership and
+// log-likelihood from simd::normalize_rows, the E-step's own normalizer.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +56,10 @@ struct PredictOutput {
 /// Classify every row of `foreign`, a dataset with the training schema.
 /// c's parameters are copied once onto c.model().rebound(foreign), and the
 /// rows are then evaluated by fill_log_joint in blocks — the E-step's
-/// kernels, so on the training rows themselves the labels equal
-/// assign_labels and the memberships equal membership() bit for bit.
+/// kernels and normalizer, so on the training rows themselves the labels
+/// equal assign_labels and the memberships equal membership() and the
+/// EM's own weights bit for bit.  A row with no finite log-joint maximum
+/// (or a NaN) keeps its argmax label and gets NaN memberships.
 /// Memberships (each row sums to 1) are filled only if `want_membership`.
 /// An empty `foreign` gives empty outputs.  Throws pac::Error on a schema
 /// mismatch or a row that violates a term family's precondition (see

@@ -4,35 +4,6 @@
 
 namespace pac {
 
-double logsumexp(std::span<const double> v) noexcept {
-  if (v.empty()) return -std::numeric_limits<double>::infinity();
-  double m = -std::numeric_limits<double>::infinity();
-  for (double x : v) m = std::max(m, x);
-  if (m == -std::numeric_limits<double>::infinity()) return m;
-  double s = 0.0;
-  for (double x : v) s += std::exp(x - m);
-  return m + std::log(s);
-}
-
-double logsumexp_fast(std::span<const double> v) noexcept {
-  if (v.empty()) return -std::numeric_limits<double>::infinity();
-  const double ninf = -std::numeric_limits<double>::infinity();
-  const std::size_t n = v.size();
-  const std::size_t n4 = n & ~std::size_t{3};
-  double ml[4] = {ninf, ninf, ninf, ninf};
-  for (std::size_t i = 0; i < n4; i += 4)
-    for (std::size_t j = 0; j < 4; ++j) ml[j] = std::max(ml[j], v[i + j]);
-  double m = std::max(std::max(std::max(ml[0], ml[1]), ml[2]), ml[3]);
-  for (std::size_t i = n4; i < n; ++i) m = std::max(m, v[i]);
-  if (m == ninf) return m;
-  double sl[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t i = 0; i < n4; i += 4)
-    for (std::size_t j = 0; j < 4; ++j) sl[j] += std::exp(v[i + j] - m);
-  double s = ((sl[0] + sl[1]) + sl[2]) + sl[3];
-  for (std::size_t i = n4; i < n; ++i) s += std::exp(v[i] - m);
-  return m + std::log(s);
-}
-
 double digamma(double x) noexcept {
   // Recurrence to push the argument above 6, then the asymptotic expansion.
   double result = 0.0;

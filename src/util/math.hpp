@@ -6,7 +6,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -23,28 +22,6 @@ inline double safe_log(double x) noexcept {
 }
 
 inline double sq(double x) noexcept { return x * x; }
-
-/// Numerically stable log(sum_i exp(v_i)) over a span.
-///
-/// Returns -inf for an empty span.  Single pass for max, second for sum; the
-/// shift by the max keeps every exponent <= 0.
-double logsumexp(std::span<const double> v) noexcept;
-
-/// Reassociated logsumexp for the opt-in PAC_FAST_MATH tier: the max scan
-/// and the exp sum run as the fixed 4-lane fold documented in util/simd.hpp
-/// (lane j covers indices ≡ j mod 4, lanes combine ((l0+l1)+l2)+l3, tail in
-/// order).  Same -inf/empty semantics as logsumexp; deterministic — the
-/// association is part of the contract — but validated against logsumexp by
-/// relative-error tolerance, not memcmp.
-double logsumexp_fast(std::span<const double> v) noexcept;
-
-/// logsumexp of exactly two values (the common binary-merge case).
-inline double logsumexp2(double a, double b) noexcept {
-  if (a == -std::numeric_limits<double>::infinity()) return b;
-  if (b == -std::numeric_limits<double>::infinity()) return a;
-  const double m = a > b ? a : b;
-  return m + std::log(std::exp(a - m) + std::exp(b - m));
-}
 
 /// Kahan–Babuška compensated accumulator.
 ///

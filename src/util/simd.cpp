@@ -8,12 +8,15 @@
 // reproduce bit-for-bit; keep the two in lockstep when editing either.
 #include "util/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <span>
 
 #include "util/math.hpp"
@@ -166,6 +169,84 @@ void multinormal_log_prob_portable(const double* const* cols, std::size_t d,
     const double maha = spd::mahalanobis2(chol, d, diff);
     *out += -0.5 * (dd * kLog2Pi + logdet + maha) + log_error_sum;
   }
+}
+
+// ---------------------------------------------------------------------------
+// det_exp / det_log — the reference operation sequence.  The AVX2 lanes in
+// simd_avx2.cpp perform exactly these IEEE operations in this order; keep
+// the two in lockstep.  Integer work happens on the bit patterns (uint64
+// arithmetic wraps, so a NaN lane's meaningless exponent is harmless).
+// ---------------------------------------------------------------------------
+
+/// Bit pattern of 2^e for the integer e held in the low mantissa bits of
+/// t = e + kMagic (|e| <= 1023).
+inline double pow2_from_magic(double t) noexcept {
+  const std::uint64_t e = std::bit_cast<std::uint64_t>(t) -
+                          std::bit_cast<std::uint64_t>(detmath::kMagic);
+  return std::bit_cast<double>((e + 1023) << 52);
+}
+
+inline double det_exp_one(double x) noexcept {
+  using namespace detmath;
+  // Clamp, written as the vector max/min so a NaN x passes through.
+  x = kExpLo > x ? kExpLo : x;
+  x = kExpHi < x ? kExpHi : x;
+  const double n = (x * kLog2e + kMagic) - kMagic;  // round(x / ln2)
+  const double r = (x - n * kLn2Hi) - n * kLn2Lo;
+  double q = kExpC[11];
+#pragma GCC unroll 16
+  for (int k = 10; k >= 0; --k) q = kExpC[k] + r * q;
+  const double p = 1.0 + (r + (r * r) * q);
+  // 2^n = 2^n1 * 2^n2 with n1 = round(n / 2): both factors stay normal, so
+  // only the last multiply can round (into the subnormal range).
+  const double t1 = n * 0.5 + kMagic;
+  const double n1 = t1 - kMagic;
+  const double t2 = (n - n1) + kMagic;
+  return (p * pow2_from_magic(t1)) * pow2_from_magic(t2);
+}
+
+inline double det_log_one(double x) noexcept {
+  using namespace detmath;
+  if (!(x > 0.0))
+    return x == 0.0 ? -std::numeric_limits<double>::infinity()
+                    : std::numeric_limits<double>::quiet_NaN();
+  if (x == std::numeric_limits<double>::infinity()) return x;
+  double k0 = 0.0;
+  if (x < std::numeric_limits<double>::min()) {
+    x *= kTwo54;
+    k0 = -54.0;
+  }
+  // x = 2^e * m, m in [1, 2): the exponent field, read as an integer and
+  // turned into a double through kMagic.
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+  const double e =
+      std::bit_cast<double>((bits >> 52) +
+                            std::bit_cast<std::uint64_t>(kMagic)) -
+      kMagic;
+  double m = std::bit_cast<double>((bits & 0x000fffffffffffffULL) |
+                                   0x3ff0000000000000ULL);
+  double k = (e - 1023.0) + k0;
+  if (m > kSqrt2) {
+    m = m * 0.5;
+    k = k + 1.0;
+  }
+  const double f = m - 1.0;
+  const double s = f / (2.0 + f);
+  const double z = s * s;
+  double rz = kLogC[9];
+#pragma GCC unroll 16
+  for (int i = 8; i >= 0; --i) rz = kLogC[i] + z * rz;
+  const double r = z * rz;
+  const double hfsq = (0.5 * f) * f;
+  return k * kLn2Hi - ((hfsq - (s * (hfsq + r) + k * kLn2Lo)) - f);
+}
+
+void det_exp_portable(const double* x, double* y, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) y[i] = det_exp_one(x[i]);
+}
+
+void det_log_portable(const double* x, double* y, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) y[i] = det_log_one(x[i]);
 }
 
 // ---------------------------------------------------------------------------
@@ -420,6 +501,73 @@ void multinormal_log_prob(const double* const* cols, std::size_t d,
 #endif
   multinormal_log_prob_portable(cols, d, i0, n, params, log_error_sum, out,
                                 stride);
+}
+
+void det_exp(const double* x, double* y, std::size_t n) noexcept {
+#if PAC_SIMD_HAVE_X86
+  if (level() == Level::kAvx2) {
+    avx2::det_exp(x, y, n);
+    return;
+  }
+#endif
+  det_exp_portable(x, y, n);
+}
+
+void det_log(const double* x, double* y, std::size_t n) noexcept {
+#if PAC_SIMD_HAVE_X86
+  if (level() == Level::kAvx2) {
+    avx2::det_log(x, y, n);
+    return;
+  }
+#endif
+  det_log_portable(x, y, n);
+}
+
+std::size_t normalize_rows(double* rows, std::size_t n, std::size_t j,
+                           double* lse) noexcept {
+  // Rows go through in chunks of 256 so the per-row sums fit on the stack;
+  // every step is per row, so the chunking never shows in the results.
+  constexpr std::size_t kChunk = 256;
+  double sum[kChunk];
+  for (std::size_t begin = 0; begin < n; begin += kChunk) {
+    double* block = rows + begin * j;
+    double* block_lse = lse + begin;
+    const std::size_t size = std::min(kChunk, n - begin);
+    // 1. Row maxima and the degenerate-row check; lse holds the max for
+    //    now.  A NaN fails every comparison, so it is tracked on its own.
+    std::size_t count = 0;
+    for (; count < size; ++count) {
+      const double* row = block + count * j;
+      double m = -std::numeric_limits<double>::infinity();
+      bool nan = false;
+      for (std::size_t k = 0; k < j; ++k) {
+        nan |= std::isnan(row[k]);
+        m = row[k] > m ? row[k] : m;
+      }
+      if (nan || !std::isfinite(m)) break;
+      block_lse[count] = m;
+    }
+    // 2. One exp per item-class over the contiguous rows.
+    for (std::size_t r = 0; r < count; ++r) {
+      double* row = block + r * j;
+      const double m = block_lse[r];
+      for (std::size_t k = 0; k < j; ++k) row[k] -= m;
+    }
+    det_exp(block, block, count * j);
+    // 3. Class-order sums (>= 1: the max contributes exp(0) = 1), scale.
+    for (std::size_t r = 0; r < count; ++r) {
+      double* row = block + r * j;
+      double s = 0.0;
+      for (std::size_t k = 0; k < j; ++k) s += row[k];
+      sum[r] = s;
+      const double inv = 1.0 / s;
+      for (std::size_t k = 0; k < j; ++k) row[k] *= inv;
+    }
+    det_log(sum, sum, count);
+    for (std::size_t r = 0; r < count; ++r) block_lse[r] += sum[r];
+    if (count < size) return begin + count;
+  }
+  return n;
 }
 
 void gaussian_accumulate_fast(const double* x, const double* weights,

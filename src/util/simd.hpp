@@ -5,20 +5,21 @@
 //   1. *Scalar oracle* — the per-item virtual chains and the scalar batch
 //      kernels in terms.cpp.  Always available; the thing every other tier
 //      is tested against.
-//   2. *Bit-identical SIMD* (this layer's `*_log_prob` kernels) — explicit
-//      vector lanes over the column-major 256-item blocks.  Legal because
-//      the E-step per-item expression is *elementwise*: every lane performs
-//      the scalar oracle's operation sequence on its own item, with IEEE
-//      add/sub/mul/div semantics, so each output double is memcmp-equal to
-//      the scalar path.  No FMA, no reassociation (the whole project builds
-//      with -ffp-contract=off so the scalar oracle cannot silently contract
+//   2. *Bit-identical SIMD* (this layer's `*_log_prob` kernels and
+//      det_exp / det_log, which the row normalizer runs on) — explicit
+//      vector lanes over the 256-item blocks.  Legal because each of these
+//      is *elementwise*: every lane performs the scalar reference's
+//      operation sequence on its own value, with IEEE add/sub/mul/div
+//      semantics, so each output double is memcmp-equal to the scalar
+//      path.  No FMA, no reassociation (the whole project builds with
+//      -ffp-contract=off so the scalar side cannot silently contract
 //      either).  The M-step moment folds are order-pinned reductions and
 //      therefore have *no* default-tier vector form.
-//   3. *Tolerance-checked fast math* (`*_accumulate_fast`,
-//      `pac::logsumexp_fast`) — opt-in via EmConfig::fast_math /
-//      PAC_FAST_MATH.  Reassociates the M-step moment sums and the E-step
-//      row reductions into a fixed 4-lane fold: lane j sums items with
-//      index ≡ j (mod 4) below the last full group, lanes combine as
+//   3. *Tolerance-checked fast math* (`*_accumulate_fast`) — opt-in via
+//      EmConfig::fast_math / PAC_FAST_MATH, and M-step only: the E-step
+//      row normalization is always the tier-2 normalizer.  Reassociates
+//      the M-step moment sums into a fixed 4-lane fold: lane j sums items
+//      with index ≡ j (mod 4) below the last full group, lanes combine as
 //      ((l0+l1)+l2)+l3, then the tail items fold in item order.  The
 //      association is a constant of the *contract*, not of the instruction
 //      set, so fast-math results are still deterministic — identical across
@@ -120,6 +121,47 @@ void multinormal_log_prob(const double* const* cols, std::size_t d,
                           std::size_t i0, std::size_t n, const double* params,
                           double log_error_sum, double* out,
                           std::size_t stride) noexcept;
+
+// ---------------------------------------------------------------------------
+// Deterministic exp / log and the row normalizer (default tier).  libm-free:
+// a fixed operation sequence with no FMA, evaluated lane by lane, so the
+// output is memcmp-equal at every dispatch level and on every libm.  They
+// run at any level (the portable loop is the reference).
+// ---------------------------------------------------------------------------
+
+/// y[i] = exp(x[i]) for i in [0, n); x == y is allowed.  Cody–Waite
+/// reduction x = n ln2 + r, a degree-13 Horner polynomial for exp(r), then
+/// a two-step 2^n scale (so exp near the overflow and subnormal edges rounds
+/// once).  Within 1 ulp of glibc's exp; exp(+-0) = 1 exactly,
+/// exp(-inf) = +0, exp(+inf) = +inf, NaN propagates.
+void det_exp(const double* x, double* y, std::size_t n) noexcept;
+
+/// y[i] = log(x[i]) for i in [0, n); x == y is allowed.  x = 2^k m with m
+/// in [sqrt(2)/2, sqrt(2)), then log m from the atanh series in
+/// s = (m-1)/(m+1).  Within 1 ulp of glibc's log; log(1) = 0 exactly,
+/// log(+-0) = -inf, log(+inf) = +inf, negative or NaN x gives the default
+/// quiet NaN.
+void det_log(const double* x, double* y, std::size_t n) noexcept;
+
+/// The one row normalizer of the E-step, the reports and prediction.
+/// `rows` holds n rows of j log-joint values (row-major).  Row by row it
+/// turns them into posterior memberships and writes lse[r] = log sum_k
+/// exp(rows[r][k]):
+///
+///   1. m = max of the row, checked before any value is overwritten: a row
+///      whose m is not finite (all -inf, a +inf entry, or j == 0) or that
+///      holds a NaN is *degenerate*;
+///   2. row -= m, then one det_exp over the contiguous rows (one exp per
+///      item-class);
+///   3. sum = the row's exponentials added in class order,
+///      lse = m + det_log(sum), row *= 1 / sum.
+///
+/// Returns n when every row was normalized.  Otherwise returns the index r
+/// of the first degenerate row: rows [0, r) are normalized, rows [r, n)
+/// and lse[r, n) are left exactly as they were.  Each row's result depends
+/// on that row alone, never on n or on the dispatch level.
+std::size_t normalize_rows(double* rows, std::size_t n, std::size_t j,
+                           double* lse) noexcept;
 
 // ---------------------------------------------------------------------------
 // Fast-math M-step folds (tolerance tier).  Weighted-moment reductions in

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 
 #include "util/math.hpp"
@@ -286,6 +287,135 @@ void multinormal_accumulate_fast(const double* const* cols, std::size_t d,
     double* row = stats + 1 + d + k * d;
     for (std::size_t l = 0; l <= k; ++l)
       row[l] += acc_swxx[k * (k + 1) / 2 + l];
+  }
+}
+
+namespace {
+
+/// 2^e for the integer e held in the low mantissa bits of t = e + kMagic
+/// (simd.cpp's pow2_from_magic, lane-wise).
+inline __m256d pow2_from_magic(__m256d t) noexcept {
+  const __m256i e = _mm256_sub_epi64(
+      _mm256_castpd_si256(t),
+      _mm256_castpd_si256(_mm256_set1_pd(detmath::kMagic)));
+  return _mm256_castsi256_pd(
+      _mm256_slli_epi64(_mm256_add_epi64(e, _mm256_set1_epi64x(1023)), 52));
+}
+
+/// det_exp_one of simd.cpp on four lanes, operation for operation.
+inline __m256d det_exp4(__m256d x) noexcept {
+  using namespace detmath;
+  const __m256d magic = _mm256_set1_pd(kMagic);
+  // max_pd/min_pd return their second operand when either is NaN, which is
+  // the scalar `lo > x ? lo : x` exactly.
+  x = _mm256_max_pd(_mm256_set1_pd(kExpLo), x);
+  x = _mm256_min_pd(_mm256_set1_pd(kExpHi), x);
+  const __m256d n = _mm256_sub_pd(
+      _mm256_add_pd(_mm256_mul_pd(x, _mm256_set1_pd(kLog2e)), magic), magic);
+  const __m256d r = _mm256_sub_pd(
+      _mm256_sub_pd(x, _mm256_mul_pd(n, _mm256_set1_pd(kLn2Hi))),
+      _mm256_mul_pd(n, _mm256_set1_pd(kLn2Lo)));
+  __m256d q = _mm256_set1_pd(kExpC[11]);
+#pragma GCC unroll 16
+  for (int k = 10; k >= 0; --k)
+    q = _mm256_add_pd(_mm256_set1_pd(kExpC[k]), _mm256_mul_pd(r, q));
+  const __m256d p = _mm256_add_pd(
+      _mm256_set1_pd(1.0),
+      _mm256_add_pd(r, _mm256_mul_pd(_mm256_mul_pd(r, r), q)));
+  const __m256d t1 = _mm256_add_pd(_mm256_mul_pd(n, _mm256_set1_pd(0.5)),
+                                   magic);
+  const __m256d n1 = _mm256_sub_pd(t1, magic);
+  const __m256d t2 = _mm256_add_pd(_mm256_sub_pd(n, n1), magic);
+  return _mm256_mul_pd(_mm256_mul_pd(p, pow2_from_magic(t1)),
+                       pow2_from_magic(t2));
+}
+
+/// det_log_one of simd.cpp on four lanes: the main path runs on every lane
+/// and the special inputs (x <= 0, NaN, +inf) are blended in at the end.
+inline __m256d det_log4(__m256d x) noexcept {
+  using namespace detmath;
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d inf =
+      _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  const __m256d magic = _mm256_set1_pd(kMagic);
+  const __m256d in = x;
+  const __m256d sub =
+      _mm256_cmp_pd(x, _mm256_set1_pd(std::numeric_limits<double>::min()),
+                    _CMP_LT_OQ);
+  x = _mm256_blendv_pd(x, _mm256_mul_pd(x, _mm256_set1_pd(kTwo54)), sub);
+  const __m256d k0 = _mm256_and_pd(sub, _mm256_set1_pd(-54.0));
+  const __m256i bits = _mm256_castpd_si256(x);
+  const __m256d e = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_add_epi64(_mm256_srli_epi64(bits, 52),
+                                           _mm256_castpd_si256(magic))),
+      magic);
+  __m256d m = _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_and_si256(bits, _mm256_set1_epi64x(0x000fffffffffffffLL)),
+      _mm256_set1_epi64x(0x3ff0000000000000LL)));
+  __m256d k = _mm256_add_pd(_mm256_sub_pd(e, _mm256_set1_pd(1023.0)), k0);
+  const __m256d big = _mm256_cmp_pd(m, _mm256_set1_pd(kSqrt2), _CMP_GT_OQ);
+  m = _mm256_blendv_pd(m, _mm256_mul_pd(m, _mm256_set1_pd(0.5)), big);
+  k = _mm256_blendv_pd(k, _mm256_add_pd(k, _mm256_set1_pd(1.0)), big);
+  const __m256d f = _mm256_sub_pd(m, _mm256_set1_pd(1.0));
+  const __m256d s = _mm256_div_pd(f, _mm256_add_pd(_mm256_set1_pd(2.0), f));
+  const __m256d z = _mm256_mul_pd(s, s);
+  __m256d rz = _mm256_set1_pd(kLogC[9]);
+#pragma GCC unroll 16
+  for (int i = 8; i >= 0; --i)
+    rz = _mm256_add_pd(_mm256_set1_pd(kLogC[i]), _mm256_mul_pd(z, rz));
+  const __m256d r = _mm256_mul_pd(z, rz);
+  const __m256d hfsq = _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(0.5), f), f);
+  const __m256d inner = _mm256_add_pd(
+      _mm256_mul_pd(s, _mm256_add_pd(hfsq, r)),
+      _mm256_mul_pd(k, _mm256_set1_pd(kLn2Lo)));
+  __m256d y = _mm256_sub_pd(
+      _mm256_mul_pd(k, _mm256_set1_pd(kLn2Hi)),
+      _mm256_sub_pd(_mm256_sub_pd(hfsq, inner), f));
+  // Special lanes, as the scalar early returns.
+  const __m256d not_pos = _mm256_cmp_pd(in, zero, _CMP_NGT_UQ);
+  const __m256d special = _mm256_blendv_pd(
+      _mm256_set1_pd(std::numeric_limits<double>::quiet_NaN()),
+      _mm256_set1_pd(-std::numeric_limits<double>::infinity()),
+      _mm256_cmp_pd(in, zero, _CMP_EQ_OQ));
+  y = _mm256_blendv_pd(y, special, not_pos);
+  return _mm256_blendv_pd(y, inf, _mm256_cmp_pd(in, inf, _CMP_EQ_OQ));
+}
+
+}  // namespace
+
+void det_exp(const double* x, double* y, std::size_t n) noexcept {
+  const std::size_t n8 = n & ~std::size_t{7};
+  const std::size_t n4 = n & ~std::size_t{3};
+  std::size_t i = 0;
+  // Two independent vectors per step: the Horner chain is latency-bound.
+  for (; i < n8; i += 8) {
+    const __m256d a = det_exp4(_mm256_loadu_pd(x + i));
+    const __m256d b = det_exp4(_mm256_loadu_pd(x + i + 4));
+    _mm256_storeu_pd(y + i, a);
+    _mm256_storeu_pd(y + i + 4, b);
+  }
+  for (; i < n4; i += 4)
+    _mm256_storeu_pd(y + i, det_exp4(_mm256_loadu_pd(x + i)));
+  if (i < n) {
+    // The tail runs through a zero-padded vector, so it too takes the lane
+    // sequence (never a compiler's scalar rewrite of it).
+    alignas(32) double tmp[4] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t t = 0; i + t < n; ++t) tmp[t] = x[i + t];
+    _mm256_store_pd(tmp, det_exp4(_mm256_load_pd(tmp)));
+    for (std::size_t t = 0; i + t < n; ++t) y[i + t] = tmp[t];
+  }
+}
+
+void det_log(const double* x, double* y, std::size_t n) noexcept {
+  const std::size_t n4 = n & ~std::size_t{3};
+  std::size_t i = 0;
+  for (; i < n4; i += 4)
+    _mm256_storeu_pd(y + i, det_log4(_mm256_loadu_pd(x + i)));
+  if (i < n) {
+    alignas(32) double tmp[4] = {1.0, 1.0, 1.0, 1.0};
+    for (std::size_t t = 0; i + t < n; ++t) tmp[t] = x[i + t];
+    _mm256_store_pd(tmp, det_log4(_mm256_load_pd(tmp)));
+    for (std::size_t t = 0; i + t < n; ++t) y[i + t] = tmp[t];
   }
 }
 

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <limits>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "autoclass/em.hpp"
@@ -34,6 +35,7 @@ using data::Schema;
 void expect_bit_identical(std::span<const double> a,
                           std::span<const double> b) {
   ASSERT_EQ(a.size(), b.size());
+  if (a.empty()) return;  // memcmp on an empty span's null data is UB
   ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
 }
 
@@ -578,29 +580,85 @@ TEST(ThreadInvariance, ScalarOraclesAreAlsoThreadInvariant) {
   expect_bit_identical(weights[0], weights[1]);
 }
 
+/// Ways to make the log-joint row of every item holding symbol 1 of the
+/// (single, discrete) attribute 0 degenerate, through that symbol's log
+/// probability: -inf in every class, NaN in a middle class, +inf in class 1.
+enum class Poison { kAllNegInf, kNaNInMiddle, kPosInf };
+
+struct PoisonCase {
+  Poison poison;
+  std::size_t j;  // classes; 5 is not a multiple of the 4 AVX2 lanes
+};
+
+constexpr PoisonCase kPoisonCases[] = {{Poison::kAllNegInf, 2},
+                                       {Poison::kAllNegInf, 5},
+                                       {Poison::kNaNInMiddle, 5},
+                                       {Poison::kPosInf, 5}};
+
+void poison_symbol_one(Classification& c, Poison poison) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::size_t j = c.num_classes();
+  switch (poison) {
+    case Poison::kAllNegInf:
+      for (std::size_t k = 0; k < j; ++k) c.param_block(k, 0)[1] = -inf;
+      break;
+    case Poison::kNaNInMiddle:
+      c.param_block(j / 2, 0)[1] = std::numeric_limits<double>::quiet_NaN();
+      break;
+    case Poison::kPosInf:
+      c.param_block(1, 0)[1] = inf;
+      break;
+  }
+}
+
+/// The "best class B at V" clause a DegenerateRowError must carry for
+/// `item`: its least-impossible class in the raw log-joint row.
+std::string best_class_clause(const Classification& c, std::size_t item) {
+  std::vector<double> row(c.num_classes());
+  fill_log_joint(c, data::ItemRange{item, item + 1}, row.data());
+  std::size_t best = 0;
+  for (std::size_t k = 1; k < row.size(); ++k)
+    if (row[k] > row[best]) best = k;
+  std::ostringstream os;
+  os << "best class " << best << " at " << row[best];
+  return os.str();
+}
+
 TEST(ThreadInvariance, DegenerateRowErrorIsDeterministic) {
   // Two degenerate items in different blocks: every thread count must
-  // report the *lowest-indexed* one (block-ordered error fold).
+  // report the *lowest-indexed* one (block-ordered error fold), for every
+  // kind of degenerate row and at every dispatch level.
   const std::size_t n = 600;  // > 2 blocks of 256
   Dataset d(Schema({Attribute::discrete("s", 2)}), n);
   for (std::size_t i = 0; i < n; ++i)
     d.set_discrete(i, 0, (i == 300 || i == 580) ? 1 : 0);
   const Model model = Model::default_model(d);
-  const double inf = std::numeric_limits<double>::infinity();
-  for (const int threads : {1, 2, 4}) {
-    Reducer identity;
-    EmWorker worker(model, data::ItemRange{0, n}, identity);
-    Classification c(model, 2);
-    EmConfig config;
-    config.threads = threads;
-    worker.random_init(c, 3, 0, config);
-    worker.update_parameters(c);
-    for (std::size_t k = 0; k < 2; ++k) c.param_block(k, 0)[1] = -inf;
-    try {
-      worker.update_wts(c);
-      FAIL() << "expected DegenerateRowError at " << threads << " threads";
-    } catch (const DegenerateRowError& e) {
-      EXPECT_EQ(e.item, 300u) << threads << " threads";
+  for (const PoisonCase pc : kPoisonCases) {
+    for (const simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
+      const simd::ScopedForceLevel pin(level);
+      for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE(testing::Message()
+                     << "poison " << static_cast<int>(pc.poison) << " J="
+                     << pc.j << " " << simd::to_string(level) << " "
+                     << threads << " threads");
+        Reducer identity;
+        EmWorker worker(model, data::ItemRange{0, n}, identity);
+        Classification c(model, pc.j);
+        EmConfig config;
+        config.threads = threads;
+        worker.random_init(c, 3, 0, config);
+        worker.update_parameters(c);
+        poison_symbol_one(c, pc.poison);
+        try {
+          worker.update_wts(c);
+          ADD_FAILURE() << "expected DegenerateRowError";
+        } catch (const DegenerateRowError& e) {
+          EXPECT_EQ(e.item, 300u);
+          EXPECT_NE(std::string(e.what()).find(best_class_clause(c, 300)),
+                    std::string::npos)
+              << e.what();
+        }
+      }
     }
   }
 }
@@ -617,7 +675,7 @@ TEST(ReportKernels, MembershipMatchesScalarJoint) {
   worker.random_init(c, 47, 0, config);
   worker.converge(c, config);
   for (std::size_t i = 0; i < 300; i += 13) {
-    // Scalar joint row, normalized exactly as report.cpp does.
+    // Scalar joint row, normalized by the one shared row normalizer.
     std::vector<double> row(3);
     for (std::size_t k = 0; k < 3; ++k) {
       double lp = c.log_pi(k);
@@ -625,11 +683,15 @@ TEST(ReportKernels, MembershipMatchesScalarJoint) {
         lp += model.term(t).log_prob(i, c.param_block(k, t));
       row[k] = lp;
     }
-    const double lse = logsumexp(row);
-    for (double& v : row) v = std::exp(v - lse);
+    double lse = 0.0;
+    ASSERT_EQ(simd::normalize_rows(row.data(), 1, 3, &lse), 1u);
     const auto m = membership(c, i);
     expect_bit_identical(m, row);
   }
+  // Prediction on the training rows reproduces the EM's own weights from
+  // the last update_wts, bit for bit: same fill, same normalizer.
+  const PredictOutput out = predict(c, ld.dataset, /*want_membership=*/true);
+  expect_bit_identical(out.membership, worker.local_weights());
 }
 
 TEST(ReportKernels, AssignLabelsMatchesPerItemMembership) {
@@ -658,25 +720,79 @@ TEST(DegenerateRow, AllInfRowRaisesTypedErrorNamingItem) {
   for (std::size_t i = 0; i < 6; ++i)
     d.set_discrete(i, 0, i == 4 ? 1 : 0);
   const Model model = Model::default_model(d);
-  Reducer identity;
-  EmWorker worker(model, data::ItemRange{0, 6}, identity);
-  Classification c(model, 2);
-  worker.random_init(c, 3, 0, EmConfig{});
-  worker.update_parameters(c);
-  // Zero-support symbol: both classes rule out symbol 1, so item 4's row
-  // is -inf under every class.
-  const double inf = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < 2; ++k) c.param_block(k, 0)[1] = -inf;
-  try {
-    worker.update_wts(c);
-    FAIL() << "expected DegenerateRowError";
-  } catch (const DegenerateRowError& e) {
-    EXPECT_EQ(e.item, 4u);
-    EXPECT_EQ(e.num_classes, 2u);
-    EXPECT_NE(std::string(e.what()).find("item 4"), std::string::npos);
+  // The first case is the zero-support symbol: every class rules out
+  // symbol 1, so item 4's row is -inf under every class.  The others make
+  // the same row degenerate through a NaN or a +inf entry.
+  for (const PoisonCase pc : kPoisonCases) {
+    for (const simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
+      const simd::ScopedForceLevel pin(level);
+      SCOPED_TRACE(testing::Message()
+                   << "poison " << static_cast<int>(pc.poison) << " J="
+                   << pc.j << " " << simd::to_string(level));
+      Reducer identity;
+      EmWorker worker(model, data::ItemRange{0, 6}, identity);
+      Classification c(model, pc.j);
+      worker.random_init(c, 3, 0, EmConfig{});
+      worker.update_parameters(c);
+      poison_symbol_one(c, pc.poison);
+      try {
+        worker.update_wts(c);
+        ADD_FAILURE() << "expected DegenerateRowError";
+      } catch (const DegenerateRowError& e) {
+        EXPECT_EQ(e.item, 4u);
+        EXPECT_EQ(e.num_classes, pc.j);
+        EXPECT_NE(std::string(e.what()).find("item 4"), std::string::npos);
+        EXPECT_NE(std::string(e.what()).find(best_class_clause(c, 4)),
+                  std::string::npos)
+            << e.what();
+      }
+      // The scalar oracle guards identically.
+      EXPECT_THROW(worker.update_wts_scalar(c), DegenerateRowError);
+    }
   }
-  // The scalar oracle guards identically.
-  EXPECT_THROW(worker.update_wts_scalar(c), DegenerateRowError);
+}
+
+TEST(DegenerateRow, PredictPathsKeepLabelsAndDoNotThrow) {
+  // Outside the E-step a degenerate row is not an error: prediction and
+  // the reports keep its argmax label and give it NaN memberships, and
+  // every other row is normalized as usual.
+  Dataset d(Schema({Attribute::discrete("s", 2)}), 6);
+  for (std::size_t i = 0; i < 6; ++i)
+    d.set_discrete(i, 0, i == 4 ? 1 : 0);
+  const Model model = Model::default_model(d);
+  for (const PoisonCase pc : kPoisonCases) {
+    for (const simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
+      const simd::ScopedForceLevel pin(level);
+      SCOPED_TRACE(testing::Message()
+                   << "poison " << static_cast<int>(pc.poison) << " J="
+                   << pc.j << " " << simd::to_string(level));
+      Reducer identity;
+      EmWorker worker(model, data::ItemRange{0, 6}, identity);
+      Classification c(model, pc.j);
+      worker.random_init(c, 3, 0, EmConfig{});
+      worker.update_parameters(c);
+      poison_symbol_one(c, pc.poison);
+      PredictOutput out;
+      ASSERT_NO_THROW(out = predict(c, d, /*want_membership=*/true));
+      std::vector<double> raw(pc.j);
+      fill_log_joint(c, data::ItemRange{4, 5}, raw.data());
+      EXPECT_EQ(out.labels[4],
+                std::max_element(raw.begin(), raw.end()) - raw.begin());
+      EXPECT_EQ(out.labels, assign_labels(c));
+      for (std::size_t i = 0; i < 6; ++i) {
+        double sum = 0.0;
+        for (std::size_t k = 0; k < pc.j; ++k)
+          sum += out.membership[i * pc.j + k];
+        if (i == 4)
+          EXPECT_TRUE(std::isnan(sum));
+        else
+          EXPECT_NEAR(sum, 1.0, 1e-15) << "item " << i;
+      }
+      EXPECT_TRUE(std::isnan(membership(c, 4)[0]));
+      EXPECT_TRUE(std::isnan(predict_log_likelihood(c, d)));
+      EXPECT_TRUE(std::isnan(mean_max_membership(c)));
+    }
+  }
 }
 
 TEST(DegenerateRow, FiniteRowsStillConverge) {
@@ -1031,22 +1147,6 @@ TEST(FastMathKernels, FastFoldIsDispatchLevelInvariant) {
   };
   const data::LabeledDataset cld = data::correlated_mixture(mix, 1000, 76);
   expect_fast_fold_level_invariant(Model::correlated_model(cld.dataset));
-}
-
-TEST(FastMathKernels, LogsumexpFastToleranceAndEdgeCases) {
-  const double ninf = -std::numeric_limits<double>::infinity();
-  EXPECT_EQ(logsumexp_fast(std::span<const double>{}), ninf);
-  const std::vector<double> all_inf(7, ninf);
-  EXPECT_EQ(logsumexp_fast(std::span<const double>(all_inf)), ninf);
-  Xoshiro256ss rng(77);
-  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 8u, 13u, 32u, 100u}) {
-    std::vector<double> v(n);
-    for (double& x : v) x = -50.0 + 100.0 * normal01(rng);
-    const double exact = logsumexp(std::span<const double>(v));
-    const double fast = logsumexp_fast(std::span<const double>(v));
-    ASSERT_LE(std::abs(fast - exact), 1e-13 * std::max(1.0, std::abs(exact)))
-        << "n=" << n;
-  }
 }
 
 TEST(FastMathKernels, ResolveFastMathPolicy) {

@@ -27,6 +27,7 @@
 #include "util/math.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace pac::serve {
 namespace {
@@ -258,7 +259,7 @@ TEST(Predictor, MatchesOfflinePredictionHelpers) {
 
   // Independent oracle: per item, the scalar Term::log_prob of the model
   // rebound to the probe rows, summed as log pi then terms in index order,
-  // then normalized with logsumexp.
+  // then normalized with the shared row normalizer.
   const ac::Model on_probe = model.rebound(probe);
   const std::size_t j = c.num_classes();
   ASSERT_EQ(out.labels.size(), probe.num_items());
@@ -274,12 +275,12 @@ TEST(Predictor, MatchesOfflinePredictionHelpers) {
     EXPECT_EQ(out.labels[i],
               std::max_element(row.begin(), row.end()) - row.begin())
         << "row " << i;
-    const double lse = logsumexp(row);
-    for (std::size_t k = 0; k < j; ++k) {
-      const double m = std::exp(row[k] - lse);
-      EXPECT_EQ(0, std::memcmp(&out.membership[i * j + k], &m, sizeof m))
+    double lse = 0.0;
+    ASSERT_EQ(simd::normalize_rows(row.data(), 1, j, &lse), 1u);
+    for (std::size_t k = 0; k < j; ++k)
+      EXPECT_EQ(0, std::memcmp(&out.membership[i * j + k], &row[k],
+                               sizeof(double)))
           << "row " << i << " class " << k;
-    }
   }
 }
 

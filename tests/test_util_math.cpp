@@ -13,51 +13,6 @@
 namespace pac {
 namespace {
 
-TEST(LogSumExp, EmptyIsMinusInfinity) {
-  EXPECT_EQ(logsumexp({}), -std::numeric_limits<double>::infinity());
-}
-
-TEST(LogSumExp, SingleValueIsIdentity) {
-  const double v[] = {-3.5};
-  EXPECT_DOUBLE_EQ(logsumexp(std::span<const double>(v, 1)), -3.5);
-}
-
-TEST(LogSumExp, MatchesDirectComputationInSafeRange) {
-  const std::vector<double> v = {-1.0, 0.5, 2.0, -0.3};
-  double direct = 0.0;
-  for (double x : v) direct += std::exp(x);
-  EXPECT_NEAR(logsumexp(v), std::log(direct), 1e-12);
-}
-
-TEST(LogSumExp, StableForLargeMagnitudes) {
-  const std::vector<double> v = {-1000.0, -1000.5, -999.0};
-  const double r = logsumexp(v);
-  EXPECT_TRUE(std::isfinite(r));
-  EXPECT_GT(r, -999.0);        // >= max
-  EXPECT_LT(r, -999.0 + 1.2);  // <= max + log(n)
-}
-
-TEST(LogSumExp, DominatedByMaximum) {
-  const std::vector<double> v = {0.0, -800.0};
-  EXPECT_NEAR(logsumexp(v), 0.0, 1e-12);
-}
-
-TEST(LogSumExp2, AgreesWithVectorVersion) {
-  Xoshiro256ss g(5);
-  for (int i = 0; i < 200; ++i) {
-    const double a = uniform_in(g, -50.0, 50.0);
-    const double b = uniform_in(g, -50.0, 50.0);
-    const std::vector<double> v = {a, b};
-    EXPECT_NEAR(logsumexp2(a, b), logsumexp(v), 1e-12);
-  }
-}
-
-TEST(LogSumExp2, HandlesInfinities) {
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_DOUBLE_EQ(logsumexp2(-inf, 3.0), 3.0);
-  EXPECT_DOUBLE_EQ(logsumexp2(3.0, -inf), 3.0);
-}
-
 TEST(KahanSum, ExactForIllConditionedSeries) {
   KahanSum k;
   k.add(1.0);
