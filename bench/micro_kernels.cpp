@@ -136,9 +136,7 @@ void run_update_wts(benchmark::State& state, const ac::Model& model,
   ac::Reducer identity;
   ac::EmWorker worker(model, data::ItemRange{0, n}, identity);
   ac::Classification c(model, j);
-  ac::EmConfig config;
-  config.fast_math = -1;  // pin the exact tier regardless of PAC_FAST_MATH
-  worker.random_init(c, 7, 0, config);
+  worker.random_init(c, 7, 0, ac::EmConfig{});
   worker.update_parameters(c);
   for (auto _ : state)
     benchmark::DoNotOptimize(scalar ? worker.update_wts_scalar(c)
@@ -276,19 +274,16 @@ void BM_UpdateWtsMixed(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdateWtsMixed);
 
-// ---- M-step kernel benches: batched update_parameters vs the oracle ----
+// ---- M-step kernel benches ----
 
-/// One full M-step per iteration from a fixed post-E-step state.  `scalar`
-/// selects the per-item virtual accumulate chain instead of the
-/// accumulate_batch kernels; `threads` sizes the intra-rank pool;
-/// `fast_math` > 0 routes accumulation through the reassociated
-/// accumulate_batch_fast folds (the tier the *FastMath variants measure);
-/// `level` pins the SIMD dispatch for the measurement.  The default-tier
-/// M-step fold is order-pinned and has no vector form, so the interesting
-/// vector numbers here are the fast-tier ones.
+/// One full M-step per iteration from a fixed post-E-step state.
+/// `threads` sizes the intra-rank pool; `level` pins the SIMD dispatch for
+/// the measurement, so the plain benches time the portable 4-lane folds
+/// and the *Simd variants the vector lanes (clamped to what the host
+/// supports, so they degenerate to the portable numbers on scalar-only
+/// CPUs).
 void run_update_params(benchmark::State& state, const ac::Model& model,
-                       std::size_t j, bool scalar, int threads = 1,
-                       int fast_math = -1,
+                       std::size_t j, int threads = 1,
                        simd::Level level = simd::Level::kScalar) {
   const simd::ScopedForceLevel pin(level);
   const std::size_t n = model.dataset().num_items();
@@ -297,16 +292,11 @@ void run_update_params(benchmark::State& state, const ac::Model& model,
   ac::Classification c(model, j);
   ac::EmConfig config;
   config.threads = threads;
-  config.fast_math = fast_math;
   worker.random_init(c, 7, 0, config);
   worker.update_parameters(c);
   worker.update_wts(c);
   for (auto _ : state) {
-    if (scalar) {
-      worker.update_parameters_scalar(c);
-    } else {
-      worker.update_parameters(c);
-    }
+    worker.update_parameters(c);
     benchmark::DoNotOptimize(c.all_params().data());
   }
   state.SetItemsProcessed(state.iterations() * n * j);
@@ -314,34 +304,26 @@ void run_update_params(benchmark::State& state, const ac::Model& model,
 
 void BM_UpdateParamsGaussian(benchmark::State& state) {
   const data::LabeledDataset ld = gaussian_heavy_dataset(4000);
-  run_update_params(state, ac::Model::default_model(ld.dataset), 8, false);
+  run_update_params(state, ac::Model::default_model(ld.dataset), 8);
 }
 BENCHMARK(BM_UpdateParamsGaussian);
 
-void BM_UpdateParamsGaussianFastMath(benchmark::State& state) {
-  // The opt-in PAC_FAST_MATH tier on the headline M-step workload: the
-  // vectorized moment folds, measured at the host's best dispatch level.
+void BM_UpdateParamsGaussianSimd(benchmark::State& state) {
+  // The headline M-step workload with the moment folds on the vector lanes
+  // (the host's best dispatch level); same bits as BM_UpdateParamsGaussian.
   const data::LabeledDataset ld = gaussian_heavy_dataset(4000);
-  run_update_params(state, ac::Model::default_model(ld.dataset), 8, false,
-                    /*threads=*/1, /*fast_math=*/1, simd::Level::kAvx2);
+  run_update_params(state, ac::Model::default_model(ld.dataset), 8,
+                    /*threads=*/1, simd::Level::kAvx2);
 }
-BENCHMARK(BM_UpdateParamsGaussianFastMath);
-
-void BM_UpdateParamsScalarGaussian(benchmark::State& state) {
-  // The oracle on the identical workload: the kernel acceptance bar is
-  // BM_UpdateParamsGaussian at >= 2x this throughput at 1 thread.
-  const data::LabeledDataset ld = gaussian_heavy_dataset(4000);
-  run_update_params(state, ac::Model::default_model(ld.dataset), 8, true);
-}
-BENCHMARK(BM_UpdateParamsScalarGaussian);
+BENCHMARK(BM_UpdateParamsGaussianSimd);
 
 void BM_UpdateParamsGaussianThreads4(benchmark::State& state) {
   // The hybrid layer on the same workload.  Wall-clock scaling tracks the
   // host's core count (a single-core container shows none); results are
   // bit-identical to the 1-thread bench by construction.
   const data::LabeledDataset ld = gaussian_heavy_dataset(4000);
-  run_update_params(state, ac::Model::default_model(ld.dataset), 8, false,
-                    4);
+  run_update_params(state, ac::Model::default_model(ld.dataset), 8,
+                    /*threads=*/4);
 }
 BENCHMARK(BM_UpdateParamsGaussianThreads4);
 
@@ -357,7 +339,7 @@ void BM_UpdateParamsMultinomial(benchmark::State& state) {
   }
   data::LabeledDataset ld = data::categorical_mixture(mix, 4000, 19);
   data::inject_missing(ld.dataset, 0.02, 5);
-  run_update_params(state, ac::Model::default_model(ld.dataset), 4, false);
+  run_update_params(state, ac::Model::default_model(ld.dataset), 4);
 }
 BENCHMARK(BM_UpdateParamsMultinomial);
 
@@ -374,13 +356,12 @@ void BM_UpdateParamsMultiNormal(benchmark::State& state) {
     }
   }
   const data::LabeledDataset ld = data::correlated_mixture(mix, 4000, 21);
-  run_update_params(state, ac::Model::correlated_model(ld.dataset), 4,
-                    false);
+  run_update_params(state, ac::Model::correlated_model(ld.dataset), 4);
 }
 BENCHMARK(BM_UpdateParamsMultiNormal);
 
-void BM_UpdateParamsMultiNormalFastMath(benchmark::State& state) {
-  // Fast-tier lane-parallel scatter accumulation for the block term.
+void BM_UpdateParamsMultiNormalSimd(benchmark::State& state) {
+  // The block term's scatter fold on the vector lanes.
   constexpr std::size_t kDim = 4;
   std::vector<data::CorrelatedComponent> mix(3);
   for (std::size_t c = 0; c < mix.size(); ++c) {
@@ -393,10 +374,10 @@ void BM_UpdateParamsMultiNormalFastMath(benchmark::State& state) {
     }
   }
   const data::LabeledDataset ld = data::correlated_mixture(mix, 4000, 21);
-  run_update_params(state, ac::Model::correlated_model(ld.dataset), 4, false,
-                    /*threads=*/1, /*fast_math=*/1, simd::Level::kAvx2);
+  run_update_params(state, ac::Model::correlated_model(ld.dataset), 4,
+                    /*threads=*/1, simd::Level::kAvx2);
 }
-BENCHMARK(BM_UpdateParamsMultiNormalFastMath);
+BENCHMARK(BM_UpdateParamsMultiNormalSimd);
 
 void BM_UpdateParamsLognormal(benchmark::State& state) {
   const std::size_t n = 4000;
@@ -410,7 +391,7 @@ void BM_UpdateParamsLognormal(benchmark::State& state) {
   }
   const ac::Model model(d, {{ac::TermKind::kSingleLognormal, {0}},
                             {ac::TermKind::kSingleLognormal, {1}}});
-  run_update_params(state, model, 4, false);
+  run_update_params(state, model, 4);
 }
 BENCHMARK(BM_UpdateParamsLognormal);
 
@@ -428,7 +409,7 @@ void BM_UpdateParamsMixed(benchmark::State& state) {
   const ac::Model model(ld.dataset, {{ac::TermKind::kSingleNormal, {0}},
                                      {ac::TermKind::kIgnore, {1}},
                                      {ac::TermKind::kSingleMultinomial, {2}}});
-  run_update_params(state, model, 4, false);
+  run_update_params(state, model, 4);
 }
 BENCHMARK(BM_UpdateParamsMixed);
 
@@ -544,30 +525,28 @@ bool check_estep_kernel_equality() {
   return true;
 }
 
-/// Smoke-tier correctness gate for the batched M-step: update_parameters
-/// and the scalar oracle must produce bit-identical statistics and
-/// parameters on the bench workload, at 1 thread and through the pool.
+/// Smoke-tier correctness gate for the batched M-step: the statistics and
+/// parameters must be bit-identical at 1 thread on the vector lanes, at 1
+/// thread forced to the portable folds, and through the pool.
 bool check_mstep_kernel_equality() {
   const data::LabeledDataset ld = gaussian_heavy_dataset(1000);
   const ac::Model model = ac::Model::default_model(ld.dataset);
   std::vector<std::vector<double>> stats, params;
   struct Variant {
-    bool scalar;
+    pac::simd::Level level;
     int threads;
   };
-  for (const Variant v :
-       {Variant{false, 1}, Variant{true, 1}, Variant{false, 4}}) {
+  for (const Variant v : {Variant{pac::simd::Level::kAvx2, 1},
+                          Variant{pac::simd::Level::kScalar, 1},
+                          Variant{pac::simd::Level::kAvx2, 4}}) {
+    const pac::simd::ScopedForceLevel pin(v.level);
     ac::Reducer identity;
     ac::EmWorker worker(model, data::ItemRange{0, 1000}, identity);
     ac::Classification c(model, 6);
     ac::EmConfig config;
     config.threads = v.threads;
     worker.random_init(c, 9, 0, config);
-    if (v.scalar) {
-      worker.update_parameters_scalar(c);
-    } else {
-      worker.update_parameters(c);
-    }
+    worker.update_parameters(c);
     const auto s = worker.statistics();
     stats.emplace_back(s.begin(), s.end());
     const auto p = c.all_params();
@@ -580,10 +559,9 @@ bool check_mstep_kernel_equality() {
         params[v].size() != params[0].size() ||
         std::memcmp(params[v].data(), params[0].data(),
                     params[0].size() * sizeof(double)) != 0) {
-      std::fprintf(
-          stderr,
-          "micro_kernels: M-step kernel-vs-scalar equality FAILED (%zu)\n",
-          v);
+      std::fprintf(stderr,
+                   "micro_kernels: M-step level/thread equality FAILED (%zu)\n",
+                   v);
       return false;
     }
   }
@@ -616,53 +594,6 @@ bool check_simd_kernel_equality() {
                   weights[0].size() * sizeof(double)) != 0) {
     std::fprintf(stderr,
                  "micro_kernels: SIMD-vs-scalar E-step equality FAILED\n");
-    return false;
-  }
-  return true;
-}
-
-/// Smoke-tier gate for the PAC_FAST_MATH tier: the reassociated M-step must
-/// stay within tolerance of the exact fold AND be dispatch-level invariant
-/// (the fixed association is part of the contract, so AVX2 and portable
-/// fast folds must agree bit for bit).
-bool check_fast_math_tolerance() {
-  const data::LabeledDataset ld = gaussian_heavy_dataset(1000);
-  const ac::Model model = ac::Model::default_model(ld.dataset);
-  std::vector<std::vector<double>> stats;
-  struct Variant {
-    int fast_math;
-    pac::simd::Level level;
-  };
-  for (const Variant v : {Variant{-1, pac::simd::Level::kScalar},
-                          Variant{1, pac::simd::Level::kAvx2},
-                          Variant{1, pac::simd::Level::kScalar}}) {
-    const pac::simd::ScopedForceLevel pin(v.level);
-    ac::Reducer identity;
-    ac::EmWorker worker(model, data::ItemRange{0, 1000}, identity);
-    ac::Classification c(model, 6);
-    ac::EmConfig config;
-    config.fast_math = v.fast_math;
-    worker.random_init(c, 9, 0, config);
-    worker.update_parameters(c);
-    const auto s = worker.statistics();
-    stats.emplace_back(s.begin(), s.end());
-  }
-  for (std::size_t i = 0; i < stats[0].size(); ++i) {
-    const double denom =
-        std::max(std::max(std::abs(stats[0][i]), std::abs(stats[1][i])), 1.0);
-    if (std::abs(stats[1][i] - stats[0][i]) > 1e-10 * denom) {
-      std::fprintf(stderr,
-                   "micro_kernels: fast-math tolerance FAILED (slot %zu)\n",
-                   i);
-      return false;
-    }
-  }
-  if (stats[1].size() != stats[2].size() ||
-      std::memcmp(stats[1].data(), stats[2].data(),
-                  stats[1].size() * sizeof(double)) != 0) {
-    std::fprintf(
-        stderr,
-        "micro_kernels: fast-math dispatch-level invariance FAILED\n");
     return false;
   }
   return true;
@@ -710,7 +641,6 @@ int main(int argc, char** argv) {
   if (smoke && !check_estep_kernel_equality()) return 1;
   if (smoke && !check_mstep_kernel_equality()) return 1;
   if (smoke && !check_simd_kernel_equality()) return 1;
-  if (smoke && !check_fast_math_tolerance()) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

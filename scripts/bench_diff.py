@@ -38,8 +38,7 @@ import sys
 
 # (label, reference bench, kernel bench): speedup = ref_time / kernel_time.
 # A pair is skipped (with a note) when either side is missing from both
-# reports being compared -- older baselines predate the *Simd/*FastMath
-# variants.
+# reports being compared -- older baselines predate the *Simd variants.
 PAIRS = [
     ("estep-batch-kernel", "BM_UpdateWtsScalarGaussian", "BM_UpdateWtsGaussian"),
     ("estep-simd", "BM_UpdateWtsScalarGaussian", "BM_UpdateWtsGaussianSimd"),
@@ -49,9 +48,10 @@ PAIRS = [
     # AVX2 det_exp lanes vs the same normalizer pinned to the portable
     # reference.
     ("normalize-simd", "BM_NormalizeRows", "BM_NormalizeRowsSimd"),
-    ("mstep-batch-kernel", "BM_UpdateParamsScalarGaussian", "BM_UpdateParamsGaussian"),
-    ("mstep-fastmath", "BM_UpdateParamsGaussian", "BM_UpdateParamsGaussianFastMath"),
-    ("mstep-fastmath-multinormal", "BM_UpdateParamsMultiNormal", "BM_UpdateParamsMultiNormalFastMath"),
+    # M-step moment folds: the AVX2 lanes vs the same 4-lane fold pinned to
+    # the portable reference.
+    ("mstep-simd", "BM_UpdateParamsGaussian", "BM_UpdateParamsGaussianSimd"),
+    ("mstep-simd-multinormal", "BM_UpdateParamsMultiNormal", "BM_UpdateParamsMultiNormalSimd"),
     # Serving path (bench/serve_latency): micro-batched predict_batch vs
     # the per-request rowwise path.
     ("serve-batched-vs-rowwise", "BM_ServePredictRowwise", "BM_ServePredictBatched"),

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
+#include <exception>
+#include <limits>
+#include <sstream>
 
 #include "util/error.hpp"
 #include "util/math.hpp"
@@ -22,14 +23,6 @@ constexpr std::uint64_t kInitStream = 0x1A17;
 /// exhausted; offset far past any plausible try_index so the two purpose
 /// stream families never overlap.
 constexpr std::uint64_t kSeedFallbackStream = kInitStream + (1ULL << 32);
-
-/// Items per E-step / M-step block: big enough to amortize the per-(term,
-/// class) kernel dispatch, small enough that a block of likelihood rows
-/// stays in L1/L2 alongside the term columns.  Also the unit of intra-rank
-/// work sharing: per-block partials are folded in block-index order, so
-/// every EM result is a pure function of this constant and never of the
-/// thread count.
-constexpr std::size_t kEStepBlock = 256;
 
 /// Number of kEStepBlock blocks covering [begin, end).
 std::size_t block_count(std::size_t begin, std::size_t end) {
@@ -94,15 +87,6 @@ std::vector<std::size_t> draw_seed_items(const CounterRng& rng, std::size_t n,
 
 }  // namespace detail
 
-bool resolve_fast_math(int setting) noexcept {
-  if (setting > 0) return true;
-  if (setting < 0) return false;
-  const char* env = std::getenv("PAC_FAST_MATH");
-  if (env == nullptr) return false;
-  return std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0 ||
-         std::strcmp(env, "true") == 0 || std::strcmp(env, "yes") == 0;
-}
-
 void Reducer::gather_weight_matrix(std::span<const double> local,
                                    std::span<double> full,
                                    data::ItemRange range, std::size_t j) {
@@ -143,7 +127,6 @@ void EmWorker::random_init(Classification& c, std::uint64_t seed,
   if (!partition_params_)
     full_weights_.assign(data_->num_items() * j, 0.0);
   threads_ = ThreadPool::resolve(config.threads);
-  fast_math_ = resolve_fast_math(config.fast_math);
   if (threads_ <= 1) {
     pool_.reset();
   } else if (pool_ == nullptr || pool_->threads() != threads_) {
@@ -343,9 +326,7 @@ double EmWorker::update_wts_scalar(Classification& c) {
   });
 }
 
-template <typename AccumulateBlock>
-void EmWorker::accumulate_statistics_blocked(const Classification& c,
-                                             AccumulateBlock&& accumulate) {
+void EmWorker::accumulate_statistics(const Classification& c) {
   const std::size_t j = c.num_classes();
   const std::size_t spc = model_->stats_per_class();
   const bool full = !partition_params_;
@@ -361,9 +342,21 @@ void EmWorker::accumulate_statistics_blocked(const Classification& c,
   run_blocks(blocks, [&](std::size_t b) {
     const data::ItemRange block = block_range(begin, end, b);
     const double* block_weights = weights + (block.begin - weight_base) * j;
-    accumulate(block, block_weights,
-               std::span<double>(block_stats_.data() + b * j * spc,
-                                 j * spc));
+    double* stats = block_stats_.data() + b * j * spc;
+    // (class, term)-major: each Term::accumulate_batch call folds one
+    // class's weight column over the whole block, in the term's pinned
+    // association — the virtual dispatch, column pointers and lane
+    // registers hoisted out of the item loop.
+    for (std::size_t k = 0; k < j; ++k) {
+      double* class_stats = stats + k * spc;
+      for (std::size_t t = 0; t < model_->num_terms(); ++t) {
+        const Term& term = model_->term(t);
+        term.accumulate_batch(
+            block, block_weights + k, j,
+            std::span<double>(class_stats + model_->stats_offset(t),
+                              term.stats_size()));
+      }
+    }
   });
 
   stats_.assign(j * spc, 0.0);
@@ -373,63 +366,12 @@ void EmWorker::accumulate_statistics_blocked(const Classification& c,
   }
 }
 
-void EmWorker::accumulate_statistics(const Classification& c) {
-  const std::size_t j = c.num_classes();
-  const std::size_t spc = model_->stats_per_class();
-  accumulate_statistics_blocked(
-      c, [&](data::ItemRange block, const double* weights,
-             std::span<double> stats) {
-        // (class, term)-major: each Term::accumulate_batch call folds one
-        // class's weight column over the whole block — the virtual
-        // dispatch, column pointers, and moment registers hoisted out of
-        // the item loop.  Within every stats slot the items still fold in
-        // increasing order, so the block partial is bit-identical to the
-        // scalar chain's.
-        // The fast tier routes each (class, term) fold through
-        // accumulate_batch_fast (reassociated 4-lane moments where a term
-        // provides them, the exact kernel otherwise).
-        const bool fast = fast_math_;
-        for (std::size_t k = 0; k < j; ++k) {
-          double* class_stats = stats.data() + k * spc;
-          for (std::size_t t = 0; t < model_->num_terms(); ++t) {
-            const Term& term = model_->term(t);
-            const std::span<double> term_stats(
-                class_stats + model_->stats_offset(t), term.stats_size());
-            if (fast) {
-              term.accumulate_batch_fast(block, weights + k, j, term_stats);
-            } else {
-              term.accumulate_batch(block, weights + k, j, term_stats);
-            }
-          }
-        }
-      });
-}
+void EmWorker::update_parameters(Classification& c) {
+  PAC_TRACE_SCOPE(reducer_->recorder(), "em", "update_parameters");
+  PAC_CHECK_MSG(c.num_classes() == num_classes_,
+                "call random_init before update_parameters");
+  accumulate_statistics(c);
 
-void EmWorker::accumulate_statistics_scalar(const Classification& c) {
-  const std::size_t j = c.num_classes();
-  const std::size_t spc = model_->stats_per_class();
-  accumulate_statistics_blocked(
-      c, [&](data::ItemRange block, const double* weights,
-             std::span<double> stats) {
-        // The reference chain: item-major, per-class w <= 0 skip, one
-        // virtual accumulate per (item, class, term).
-        for (std::size_t i = block.begin; i < block.end; ++i) {
-          const double* row = weights + (i - block.begin) * j;
-          for (std::size_t k = 0; k < j; ++k) {
-            const double w = row[k];
-            if (w <= 0.0) continue;
-            double* class_stats = stats.data() + k * spc;
-            for (std::size_t t = 0; t < model_->num_terms(); ++t)
-              model_->term(t).accumulate(
-                  i, w,
-                  std::span<double>(class_stats + model_->stats_offset(t),
-                                    model_->term(t).stats_size()));
-          }
-        }
-      });
-}
-
-void EmWorker::finish_update_parameters(Classification& c) {
   const std::size_t j = c.num_classes();
   const std::size_t spc = model_->stats_per_class();
   const std::size_t accumulated_items =
@@ -450,22 +392,6 @@ void EmWorker::finish_update_parameters(Classification& c) {
           c.param_block(k, t));
   }
   c.update_log_pi_from_weights(static_cast<double>(data_->num_items()));
-}
-
-void EmWorker::update_parameters(Classification& c) {
-  PAC_TRACE_SCOPE(reducer_->recorder(), "em", "update_parameters");
-  PAC_CHECK_MSG(c.num_classes() == num_classes_,
-                "call random_init before update_parameters");
-  accumulate_statistics(c);
-  finish_update_parameters(c);
-}
-
-void EmWorker::update_parameters_scalar(Classification& c) {
-  PAC_TRACE_SCOPE(reducer_->recorder(), "em", "update_parameters_scalar");
-  PAC_CHECK_MSG(c.num_classes() == num_classes_,
-                "call random_init before update_parameters");
-  accumulate_statistics_scalar(c);
-  finish_update_parameters(c);
 }
 
 void EmWorker::update_approximations(Classification& c) {

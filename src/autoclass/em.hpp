@@ -45,6 +45,14 @@ class Recorder;
 
 namespace pac::ac {
 
+/// Items per E-step / M-step block: big enough to amortize the per-(term,
+/// class) kernel dispatch, small enough that a block of likelihood rows
+/// stays in L1/L2 alongside the term columns.  Also the unit of intra-rank
+/// work sharing: per-block partials are folded in block-index order, so
+/// every EM result is a pure function of this constant and never of the
+/// thread count.
+inline constexpr std::size_t kEStepBlock = 256;
+
 /// E-step failure: an item's likelihood row has no finite maximum — -inf
 /// under *every* class (e.g. a zero-support multinomial symbol in an
 /// emptied class), a +inf entry, or a NaN anywhere — which would otherwise
@@ -110,16 +118,6 @@ struct EmConfig {
   /// thread count*: per-block partials are folded in block-index order, so
   /// every value is bit-identical for any setting.
   int threads = 0;
-  /// Opt-in fast-math tier (DESIGN.md §5), M-step only: > 0 enables the
-  /// reassociated 4-lane folds of the M-step moment sums
-  /// (Term::accumulate_batch_fast); < 0 forces them off; 0 = read the
-  /// PAC_FAST_MATH environment variable (unset/0/off = exact tier).  The
-  /// E-step row normalization is the same deterministic normalizer in
-  /// both tiers.  Fast-math results are still deterministic — the lane
-  /// association is fixed by contract, so they are identical across SIMD
-  /// levels, thread counts, and transports — but they are only
-  /// tolerance-equal to the default tier, not bit-identical.
-  int fast_math = 0;
 };
 
 /// Cost-charging phases (matching the paper's profile of base_cycle).
@@ -226,18 +224,12 @@ class EmWorker {
   double update_wts_scalar(Classification& c);
 
   /// M-step: accumulate local statistics — blocked, (class, term)-major
-  /// over the membership matrix via Term::accumulate_batch, work-shared
-  /// across the thread pool with per-block partial statistics folded in
-  /// block-index order — make them global, and recompute every class's
-  /// parameters and mixing weight.
+  /// over the membership matrix via Term::accumulate_batch (each call one
+  /// class's weight column over one block, in the term's pinned
+  /// association), work-shared across the thread pool with per-block
+  /// partial statistics folded in block-index order — make them global,
+  /// and recompute every class's parameters and mixing weight.
   void update_parameters(Classification& c);
-
-  /// Reference M-step: the per-item x per-class x per-term virtual
-  /// accumulate chain the batch kernels replaced, through the identical
-  /// blocked partial fold (accumulate_statistics_scalar).  The oracle the
-  /// M-step equality tests and BM_UpdateParams benches diff against;
-  /// bit-identical results to update_parameters.
-  void update_parameters_scalar(Classification& c);
 
   /// Score bookkeeping: Cheeseman-Stutz and BIC scores from the current
   /// global statistics (cheap; paper Sec. 3 measures it as negligible).
@@ -260,18 +252,10 @@ class EmWorker {
   std::span<const double> statistics() const noexcept { return stats_; }
 
  private:
-  /// Batched statistics accumulation (Term::accumulate_batch) and its
-  /// per-item virtual oracle.  Both are blocked with per-block partials
-  /// folded in block-index order, so they are bit-identical to each other
-  /// and invariant in thread count.
+  /// The blocked statistics accumulation of update_parameters: per-block
+  /// partials folded in block-index order, so the result is invariant in
+  /// the thread count.
   void accumulate_statistics(const Classification& c);
-  void accumulate_statistics_scalar(const Classification& c);
-  /// Shared M-step scaffolding around the two accumulation paths.
-  template <typename AccumulateBlock>
-  void accumulate_statistics_blocked(const Classification& c,
-                                     AccumulateBlock&& accumulate);
-  /// Common epilogue of both M-step paths: charge, reduce, MAP updates.
-  void finish_update_parameters(Classification& c);
   /// Shared E-step scaffolding: block the partition, run `fill` per block
   /// (work-shared), normalize each block's rows with simd::normalize_rows
   /// (throwing DegenerateRowError for the first degenerate row), fold the
@@ -300,14 +284,7 @@ class EmWorker {
   std::vector<double> stats_;        // J x stats_per_class
   std::vector<double> block_stats_;  // per-block J x stats_per_class partials
   std::size_t threads_ = 1;          // resolved at random_init
-  bool fast_math_ = false;           // resolved at random_init
   std::unique_ptr<ThreadPool> pool_; // non-null only when threads_ > 1
 };
-
-/// Resolve an EmConfig::fast_math setting against PAC_FAST_MATH (exposed
-/// for tests and benches): > 0 on, < 0 off, 0 = environment (values "1",
-/// "on", "true", "yes" enable; anything else, or unset, keeps the exact
-/// tier).
-bool resolve_fast_math(int setting) noexcept;
 
 }  // namespace pac::ac

@@ -18,29 +18,6 @@ const char* to_string(TermKind kind) noexcept {
   return "?";
 }
 
-void Term::log_prob_batch(data::ItemRange range,
-                          std::span<const double> params, double* out,
-                          std::size_t stride) const {
-  for (std::size_t i = range.begin; i < range.end; ++i, out += stride)
-    *out += log_prob(i, params);
-}
-
-void Term::accumulate_batch_fast(data::ItemRange range, const double* weights,
-                                 std::size_t stride,
-                                 std::span<double> stats) const {
-  accumulate_batch(range, weights, stride, stats);
-}
-
-void Term::accumulate_batch(data::ItemRange range, const double* weights,
-                            std::size_t stride,
-                            std::span<double> stats) const {
-  for (std::size_t i = range.begin; i < range.end; ++i, weights += stride) {
-    const double w = *weights;
-    if (w <= 0.0) continue;
-    accumulate(i, w, stats);
-  }
-}
-
 void Term::seed_distance_batch(data::ItemRange range, std::size_t seed_item,
                                double* out, std::size_t stride) const {
   for (std::size_t i = range.begin; i < range.end; ++i, out += stride)

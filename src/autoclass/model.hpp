@@ -94,11 +94,10 @@ class Term {
   /// the item loop — parameter loads, logs of per-term constants, the
   /// virtual dispatch itself — but must not rearrange the per-item floating
   /// point expression.  The scalar log_prob stays the oracle the equality
-  /// tests diff against.  The default implementation loops over log_prob,
-  /// so new term families are correct before they are fast.
+  /// tests diff against.
   virtual void log_prob_batch(data::ItemRange range,
                               std::span<const double> params, double* out,
-                              std::size_t stride) const;
+                              std::size_t stride) const = 0;
 
   /// M-step accumulation: absorb `item` with membership weight `w`.
   virtual void accumulate(std::size_t item, double w,
@@ -110,37 +109,22 @@ class Term {
   /// membership matrix and `stride` = J, one call folds that class's share
   /// of a whole item block into the class's statistics.
   ///
-  /// Contract (mirror of log_prob_batch): the additions into each stats
-  /// slot must be the ones accumulate(item, w, stats) would perform, in the
-  /// same increasing-item order, and items with w <= 0 are skipped exactly
-  /// as EmWorker's scalar M-step skips them — so the fold stays
-  /// bit-identical to the per-item virtual chain.  Overrides may hoist
-  /// loop-invariant work (column pointers, parameter-table loads, running
-  /// moment registers, the virtual dispatch itself) but must not
-  /// reassociate the per-item floating-point expression or reorder items
-  /// within a slot.  The scalar accumulate stays the oracle the equality
-  /// tests diff against; the default implementation loops over it, so new
-  /// term families are correct before they are fast.
+  /// Contract: the result must be bit-identical to a reference built out
+  /// of accumulate(item, w, stats), with items of w <= 0 skipped, in the
+  /// family's pinned association.  The moment families (normal, log-normal,
+  /// multi normal) use the 4-lane association of util/simd.hpp: over the
+  /// range's full groups of four, item q (counted from range.begin) goes to
+  /// lane q % 4 of four zeroed stat buffers; the lanes combine slot by slot
+  /// as ((l0+l1)+l2)+l3; the tail items fold into the combined buffer in
+  /// item order; finally stats += combined.  The multinomial bincount folds
+  /// straight into `stats` in item order (a slot takes at most one addition
+  /// per item), and ignore has no slots.  The association is fixed by
+  /// contract, never by the instruction set, so the fold is identical
+  /// across SIMD levels, thread counts and transports; the tests build the
+  /// reference out of the scalar accumulate and diff with memcmp.
   virtual void accumulate_batch(data::ItemRange range, const double* weights,
                                 std::size_t stride,
-                                std::span<double> stats) const;
-
-  /// Fast-math M-step kernel (the opt-in PAC_FAST_MATH tier): same inputs
-  /// and slot layout as accumulate_batch, but the fold may use the fixed
-  /// 4-lane reassociation documented in util/simd.hpp — lane j sums items
-  /// with in-block index ≡ j (mod 4), lanes combine as ((l0+l1)+l2)+l3,
-  /// tail items fold in order, and skipped items (w <= 0 / missing)
-  /// contribute exactly +0.0.  The association is fixed by contract, never
-  /// by the instruction set, so results stay deterministic and identical
-  /// across SIMD levels, thread counts, and transports; they are validated
-  /// against the scalar oracle by the relative-error tolerance suite
-  /// instead of memcmp (DESIGN.md §5).  The default defers to the
-  /// bit-identical accumulate_batch, so term families without a fast
-  /// kernel are simply exact.
-  virtual void accumulate_batch_fast(data::ItemRange range,
-                                     const double* weights,
-                                     std::size_t stride,
-                                     std::span<double> stats) const;
+                                std::span<double> stats) const = 0;
 
   /// MAP update: statistics -> parameters (applies the term's prior).
   virtual void update_params(std::span<const double> stats,

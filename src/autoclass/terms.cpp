@@ -113,34 +113,10 @@ class SingleNormalTerm final : public Term {
   void accumulate_batch(data::ItemRange range, const double* weights,
                         std::size_t stride,
                         std::span<double> stats) const override {
-    // The three weighted moments fold in registers instead of through the
-    // stats span (and the virtual dispatch happens once per block, not per
-    // item); the per-item additions are accumulate's, in item order, so
-    // the folded block is bit-identical to the scalar chain.
+    // The three weighted moments in the pinned 4-lane association.
     const auto view = block(range);
-    const double* x = view.data();
-    double sw = stats[0], swx = stats[1], swx2 = stats[2];
-    for (std::size_t r = 0; r < view.size(); ++r, weights += stride) {
-      const double w = *weights;
-      if (w <= 0.0) continue;
-      if (data::is_missing_real(x[r])) continue;
-      sw += w;
-      swx += w * x[r];
-      swx2 += w * x[r] * x[r];
-    }
-    stats[0] = sw;
-    stats[1] = swx;
-    stats[2] = swx2;
-  }
-
-  // Fast tier: the same three moments in the fixed 4-lane association
-  // (tolerance-validated, still deterministic at every dispatch level).
-  void accumulate_batch_fast(data::ItemRange range, const double* weights,
-                             std::size_t stride,
-                             std::span<double> stats) const override {
-    const auto view = block(range);
-    simd::gaussian_accumulate_fast(view.data(), weights, stride, view.size(),
-                                   stats.data());
+    simd::gaussian_accumulate(view.data(), weights, stride, view.size(),
+                              stats.data());
   }
 
   void update_params(std::span<const double> stats,
@@ -585,44 +561,15 @@ class MultiNormalTerm final : public Term {
   void accumulate_batch(data::ItemRange range, const double* weights,
                         std::size_t stride,
                         std::span<double> stats) const override {
-    // Weighted outer-product accumulation with the view indirections
-    // hoisted: raw column pointers and the item's row cached once, then the
-    // same lower-triangle additions as accumulate, in the same order.
-    // (w * xk) is reused across the row — a pure recomputation hoist; the
-    // per-slot expression (w * xk) * xl is unchanged.
-    const std::size_t d = dim_;
-    PAC_CHECK(d <= 32);
-    data::ColumnBlockView<double> views[32];
-    const double* cols[32];
-    double xs[32];
-    fetch_blocks(range, views, cols);
-    double* s = stats.data();
-    for (std::size_t r = 0; r < range.size(); ++r, weights += stride) {
-      const double w = *weights;
-      if (w <= 0.0) continue;
-      s[0] += w;
-      for (std::size_t k = 0; k < d; ++k) xs[k] = cols[k][r];
-      for (std::size_t k = 0; k < d; ++k) {
-        const double wxk = w * xs[k];
-        s[1 + k] += wxk;
-        double* row = s + 1 + d + k * d;
-        for (std::size_t l = 0; l <= k; ++l) row[l] += wxk * xs[l];
-      }
-    }
-  }
-
-  // Fast tier: the weighted outer-product fold in the fixed 4-lane
-  // association (tolerance-validated, deterministic at every level).
-  void accumulate_batch_fast(data::ItemRange range, const double* weights,
-                             std::size_t stride,
-                             std::span<double> stats) const override {
+    // The weighted outer-product fold in the pinned 4-lane association,
+    // over raw column pointers hoisted out of the block views.
     const std::size_t d = dim_;
     PAC_CHECK(d <= 32);
     data::ColumnBlockView<double> views[32];
     const double* cols[32];
     fetch_blocks(range, views, cols);
-    simd::multinormal_accumulate_fast(cols, d, 0, range.size(), weights,
-                                      stride, stats.data());
+    simd::multinormal_accumulate(cols, d, 0, range.size(), weights, stride,
+                                 stats.data());
   }
 
   void update_params(std::span<const double> stats,
@@ -950,33 +897,12 @@ class SingleLognormalTerm final : public Term {
   void accumulate_batch(data::ItemRange range, const double* weights,
                         std::size_t stride,
                         std::span<double> stats) const override {
-    // Same register fold as the normal kernel over the log x block.
+    // The normal term's moment fold over the log x block.
     double scratch[kScratchBlock];
     std::vector<double> heap;
     const double* lx = log_block(range, scratch, heap);
-    double sw = stats[0], swl = stats[1], swl2 = stats[2];
-    for (std::size_t r = 0; r < range.size(); ++r, weights += stride) {
-      const double w = *weights;
-      if (w <= 0.0) continue;
-      if (data::is_missing_real(lx[r])) continue;
-      sw += w;
-      swl += w * lx[r];
-      swl2 += w * lx[r] * lx[r];
-    }
-    stats[0] = sw;
-    stats[1] = swl;
-    stats[2] = swl2;
-  }
-
-  // Fast tier: identical moment shape to the normal term, over log x.
-  void accumulate_batch_fast(data::ItemRange range, const double* weights,
-                             std::size_t stride,
-                             std::span<double> stats) const override {
-    double scratch[kScratchBlock];
-    std::vector<double> heap;
-    const double* lx = log_block(range, scratch, heap);
-    simd::gaussian_accumulate_fast(lx, weights, stride, range.size(),
-                                   stats.data());
+    simd::gaussian_accumulate(lx, weights, stride, range.size(),
+                              stats.data());
   }
 
   void update_params(std::span<const double> stats,

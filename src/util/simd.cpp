@@ -3,7 +3,7 @@
 // The portable `*_log_prob` bodies are line-for-line the scalar batch loops
 // from terms.cpp, so a host with no vector unit — or a PAC_SIMD=0 run —
 // produces exactly the oracle's bits through this layer too.  The portable
-// fast-math folds define the *reference association* (4 lanes, mod-4 item
+// M-step folds define the *reference association* (4 lanes, mod-4 item
 // assignment, ((l0+l1)+l2)+l3 combine, in-order tail) that the AVX2 TU must
 // reproduce bit-for-bit; keep the two in lockstep when editing either.
 #include "util/simd.hpp"
@@ -250,59 +250,58 @@ void det_log_portable(const double* x, double* y, std::size_t n) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Portable fast-math folds — the reference for the fixed 4-lane association.
+// Portable M-step folds — the reference for the fixed 4-lane association.
 // ---------------------------------------------------------------------------
 
 inline double fold4(const double lane[4]) noexcept {
   return ((lane[0] + lane[1]) + lane[2]) + lane[3];
 }
 
-void gaussian_accumulate_fast_portable(const double* x, const double* weights,
-                                       std::size_t wstride, std::size_t n,
-                                       double* stats) noexcept {
-  double sw[4] = {0.0, 0.0, 0.0, 0.0};
-  double swx[4] = {0.0, 0.0, 0.0, 0.0};
-  double swx2[4] = {0.0, 0.0, 0.0, 0.0};
+/// One item's three moment additions into (sw, swx, swx2).  A skipped
+/// item (w <= 0 or missing x) adds exactly +0.0, so every lane performs the
+/// same three additions per group; the mask is branch-free because which
+/// items are skipped follows the data, not a predictable pattern.
+inline void add_moments(double wr, double xr, double& sw, double& swx,
+                        double& swx2) noexcept {
+  const bool ok = (wr > 0.0) & (xr == xr);
+  const double w = ok ? wr : 0.0;
+  const double xv = ok ? xr : 0.0;
+  sw += w;
+  const double wx = w * xv;
+  swx += wx;
+  swx2 += wx * xv;
+}
+
+void gaussian_accumulate_portable(const double* x, const double* weights,
+                                  std::size_t wstride, std::size_t n,
+                                  double* stats) noexcept {
+  // One named accumulator per (moment, lane) so they live in registers.
+  double sw0 = 0.0, sw1 = 0.0, sw2 = 0.0, sw3 = 0.0;
+  double swx0 = 0.0, swx1 = 0.0, swx2 = 0.0, swx3 = 0.0;
+  double sxx0 = 0.0, sxx1 = 0.0, sxx2 = 0.0, sxx3 = 0.0;
   const std::size_t n4 = n & ~std::size_t{3};
   for (std::size_t i = 0; i < n4; i += 4) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      const double wr = weights[(i + j) * wstride];
-      const double xr = x[i + j];
-      // Skipped items (w <= 0 or missing) contribute exactly +0.0 so every
-      // lane performs the same three additions per group.
-      const bool ok = wr > 0.0 && !std::isnan(xr);
-      const double w = ok ? wr : 0.0;
-      const double xv = ok ? xr : 0.0;
-      sw[j] += w;
-      const double wx = w * xv;
-      swx[j] += wx;
-      swx2[j] += wx * xv;
-    }
+    const double* w = weights + i * wstride;
+    add_moments(w[0], x[i], sw0, swx0, sxx0);
+    add_moments(w[wstride], x[i + 1], sw1, swx1, sxx1);
+    add_moments(w[2 * wstride], x[i + 2], sw2, swx2, sxx2);
+    add_moments(w[3 * wstride], x[i + 3], sw3, swx3, sxx3);
   }
-  double tsw = fold4(sw);
-  double tswx = fold4(swx);
-  double tswx2 = fold4(swx2);
-  for (std::size_t i = n4; i < n; ++i) {
-    const double wr = weights[i * wstride];
-    const double xr = x[i];
-    const bool ok = wr > 0.0 && !std::isnan(xr);
-    const double w = ok ? wr : 0.0;
-    const double xv = ok ? xr : 0.0;
-    tsw += w;
-    const double wx = w * xv;
-    tswx += wx;
-    tswx2 += wx * xv;
-  }
+  double tsw = ((sw0 + sw1) + sw2) + sw3;
+  double tswx = ((swx0 + swx1) + swx2) + swx3;
+  double tswx2 = ((sxx0 + sxx1) + sxx2) + sxx3;
+  for (std::size_t i = n4; i < n; ++i)
+    add_moments(weights[i * wstride], x[i], tsw, tswx, tswx2);
   stats[0] += tsw;
   stats[1] += tswx;
   stats[2] += tswx2;
 }
 
-void multinormal_accumulate_fast_portable(const double* const* cols,
-                                          std::size_t d, std::size_t i0,
-                                          std::size_t n, const double* weights,
-                                          std::size_t wstride,
-                                          double* stats) noexcept {
+void multinormal_accumulate_portable(const double* const* cols,
+                                     std::size_t d, std::size_t i0,
+                                     std::size_t n, const double* weights,
+                                     std::size_t wstride,
+                                     double* stats) noexcept {
   // Lane accumulators: sw, swx[k], and the lower triangle swxx[k][l]
   // addressed by the triangular index k*(k+1)/2 + l (d <= 32 -> 528 slots).
   double sw_l[4] = {0.0, 0.0, 0.0, 0.0};
@@ -570,30 +569,29 @@ std::size_t normalize_rows(double* rows, std::size_t n, std::size_t j,
   return n;
 }
 
-void gaussian_accumulate_fast(const double* x, const double* weights,
-                              std::size_t wstride, std::size_t n,
-                              double* stats) noexcept {
+void gaussian_accumulate(const double* x, const double* weights,
+                         std::size_t wstride, std::size_t n,
+                         double* stats) noexcept {
 #if PAC_SIMD_HAVE_X86
   if (level() == Level::kAvx2) {
-    avx2::gaussian_accumulate_fast(x, weights, wstride, n, stats);
+    avx2::gaussian_accumulate(x, weights, wstride, n, stats);
     return;
   }
 #endif
-  gaussian_accumulate_fast_portable(x, weights, wstride, n, stats);
+  gaussian_accumulate_portable(x, weights, wstride, n, stats);
 }
 
-void multinormal_accumulate_fast(const double* const* cols, std::size_t d,
-                                 std::size_t i0, std::size_t n,
-                                 const double* weights, std::size_t wstride,
-                                 double* stats) noexcept {
+void multinormal_accumulate(const double* const* cols, std::size_t d,
+                            std::size_t i0, std::size_t n,
+                            const double* weights, std::size_t wstride,
+                            double* stats) noexcept {
 #if PAC_SIMD_HAVE_X86
   if (level() == Level::kAvx2) {
-    avx2::multinormal_accumulate_fast(cols, d, i0, n, weights, wstride, stats);
+    avx2::multinormal_accumulate(cols, d, i0, n, weights, wstride, stats);
     return;
   }
 #endif
-  multinormal_accumulate_fast_portable(cols, d, i0, n, weights, wstride,
-                                       stats);
+  multinormal_accumulate_portable(cols, d, i0, n, weights, wstride, stats);
 }
 
 }  // namespace pac::simd

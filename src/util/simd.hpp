@@ -1,31 +1,28 @@
 // Runtime-dispatched SIMD layer for the batched E/M-step kernels.
 //
-// Three tiers (DESIGN.md §5):
+// Two tiers (DESIGN.md §5), both exact and level-invariant:
 //
-//   1. *Scalar oracle* — the per-item virtual chains and the scalar batch
-//      kernels in terms.cpp.  Always available; the thing every other tier
-//      is tested against.
-//   2. *Bit-identical SIMD* (this layer's `*_log_prob` kernels and
-//      det_exp / det_log, which the row normalizer runs on) — explicit
-//      vector lanes over the 256-item blocks.  Legal because each of these
-//      is *elementwise*: every lane performs the scalar reference's
-//      operation sequence on its own value, with IEEE add/sub/mul/div
-//      semantics, so each output double is memcmp-equal to the scalar
-//      path.  No FMA, no reassociation (the whole project builds with
-//      -ffp-contract=off so the scalar side cannot silently contract
-//      either).  The M-step moment folds are order-pinned reductions and
-//      therefore have *no* default-tier vector form.
-//   3. *Tolerance-checked fast math* (`*_accumulate_fast`) — opt-in via
-//      EmConfig::fast_math / PAC_FAST_MATH, and M-step only: the E-step
-//      row normalization is always the tier-2 normalizer.  Reassociates
-//      the M-step moment sums into a fixed 4-lane fold: lane j sums items
-//      with index ≡ j (mod 4) below the last full group, lanes combine as
-//      ((l0+l1)+l2)+l3, then the tail items fold in item order.  The
-//      association is a constant of the *contract*, not of the instruction
-//      set, so fast-math results are still deterministic — identical across
-//      AVX2/NEON/portable dispatch, thread counts, and transports — merely
-//      not bit-identical to the scalar-order oracle (validated by a
-//      relative-error tolerance oracle instead of memcmp).
+//   1. *Scalar oracle* — the per-item virtual chains (Term::log_prob,
+//      Term::accumulate) in terms.cpp.  Always available; the tests build
+//      every reference they diff against out of them.
+//   2. *Block kernels* — explicit vector lanes over the 256-item blocks,
+//      each with a portable reference body that a PAC_SIMD=0 run (or a host
+//      with no vector unit) executes instead:
+//        * the `*_log_prob` kernels and det_exp / det_log (which the row
+//          normalizer runs on) are *elementwise*: every lane performs the
+//          scalar reference's operation sequence on its own value, with
+//          IEEE add/sub/mul/div semantics, so each output double is
+//          memcmp-equal to the scalar path.  No FMA, no reassociation (the
+//          whole project builds with -ffp-contract=off so the scalar side
+//          cannot silently contract either).
+//        * the `*_accumulate` M-step moment folds are reductions in one
+//          pinned association: lane j sums the items with in-block index
+//          ≡ j (mod 4) below the last full group of four, lanes combine as
+//          ((l0+l1)+l2)+l3, then the tail items fold in item order.  The
+//          association is a constant of the *contract*, not of the
+//          instruction set, so the folds are memcmp-equal across
+//          AVX2/NEON/portable dispatch, thread counts and transports, and
+//          equal to the per-item accumulate chain run in that association.
 //
 // Dispatch: `level()` resolves once from the environment and the CPU —
 // AVX2 on x86-64 hosts that support it, NEON on aarch64, otherwise the
@@ -41,7 +38,7 @@
 namespace pac::simd {
 
 enum class Level {
-  kScalar = 0,  // no vector kernels: terms run their scalar batch loops
+  kScalar = 0,  // no vector lanes: the portable reference bodies run
   kAvx2,        // x86-64 AVX2 (4 x double lanes)
   kNeon,        // aarch64 NEON (2 x double lanes)
 };
@@ -164,26 +161,25 @@ std::size_t normalize_rows(double* rows, std::size_t n, std::size_t j,
                            double* lse) noexcept;
 
 // ---------------------------------------------------------------------------
-// Fast-math M-step folds (tolerance tier).  Weighted-moment reductions in
-// the fixed 4-lane association documented above; items with w <= 0 or a
-// missing value contribute exactly +0.0 instead of being skipped.  These
-// run at ANY dispatch level (a portable unrolled fold stands in when no
-// vector unit is active) so PAC_FAST_MATH means the same association
-// everywhere.
+// M-step moment folds (the only Term::accumulate_batch folds of the normal
+// families).  Weighted-moment reductions in the fixed 4-lane association
+// documented above; items with w <= 0 or a missing value add a zero, which
+// equals skipping them (a lane starts at +0.0, so it never holds -0.0).
+// They run at any level (the portable unrolled fold is the reference).
 // ---------------------------------------------------------------------------
 
 /// stats[0..2] += (sum w, sum w*x, sum (w*x)*x) over the block, weights
 /// strided by wstride; NaN x lanes masked to zero.
-void gaussian_accumulate_fast(const double* x, const double* weights,
-                              std::size_t wstride, std::size_t n,
-                              double* stats) noexcept;
+void gaussian_accumulate(const double* x, const double* weights,
+                         std::size_t wstride, std::size_t n,
+                         double* stats) noexcept;
 
 /// Weighted outer-product fold for the multivariate normal statistics
 /// layout [sw | swx[d] | swxx[d*d] lower triangle]: each slot accumulates
 /// in the fixed 4-lane association.  Requires d <= 32.
-void multinormal_accumulate_fast(const double* const* cols, std::size_t d,
-                                 std::size_t i0, std::size_t n,
-                                 const double* weights, std::size_t wstride,
-                                 double* stats) noexcept;
+void multinormal_accumulate(const double* const* cols, std::size_t d,
+                            std::size_t i0, std::size_t n,
+                            const double* weights, std::size_t wstride,
+                            double* stats) noexcept;
 
 }  // namespace pac::simd

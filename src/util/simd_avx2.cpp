@@ -5,8 +5,8 @@
 // Bit-identity discipline for the `*_log_prob` kernels: each 4-wide vector
 // op is the scalar oracle's op applied per lane — same operand order, same
 // association, no FMA intrinsics, and the build keeps -ffp-contract=off so
-// the compiler cannot contract either side.  The `*_accumulate_fast`
-// kernels instead reproduce the portable reference association in simd.cpp
+// the compiler cannot contract either side.  The `*_accumulate` M-step
+// folds instead reproduce the portable reference association in simd.cpp
 // (4 lanes mod-4, ((l0+l1)+l2)+l3 fold, in-order tail) exactly.
 #include "util/simd_internal.hpp"
 
@@ -195,9 +195,9 @@ void multinormal_log_prob(const double* const* cols, std::size_t d,
   }
 }
 
-void gaussian_accumulate_fast(const double* x, const double* weights,
-                              std::size_t wstride, std::size_t n,
-                              double* stats) noexcept {
+void gaussian_accumulate(const double* x, const double* weights,
+                         std::size_t wstride, std::size_t n,
+                         double* stats) noexcept {
   const __m256d vzero = _mm256_setzero_pd();
   __m256d sw = vzero, swx = vzero, swx2 = vzero;
   const std::size_t n4 = n & ~std::size_t{3};
@@ -233,10 +233,10 @@ void gaussian_accumulate_fast(const double* x, const double* weights,
   stats[2] += tswx2;
 }
 
-void multinormal_accumulate_fast(const double* const* cols, std::size_t d,
-                                 std::size_t i0, std::size_t n,
-                                 const double* weights, std::size_t wstride,
-                                 double* stats) noexcept {
+void multinormal_accumulate(const double* const* cols, std::size_t d,
+                            std::size_t i0, std::size_t n,
+                            const double* weights, std::size_t wstride,
+                            double* stats) noexcept {
   const __m256d vzero = _mm256_setzero_pd();
   __m256d sw_v = vzero;
   __m256d swx_v[32];

@@ -81,14 +81,14 @@ void multinormal_log_prob(const double* const* cols, std::size_t d,
                           double log_error_sum, double* out,
                           std::size_t stride) noexcept;
 
-void gaussian_accumulate_fast(const double* x, const double* weights,
-                              std::size_t wstride, std::size_t n,
-                              double* stats) noexcept;
+void gaussian_accumulate(const double* x, const double* weights,
+                         std::size_t wstride, std::size_t n,
+                         double* stats) noexcept;
 
-void multinormal_accumulate_fast(const double* const* cols, std::size_t d,
-                                 std::size_t i0, std::size_t n,
-                                 const double* weights, std::size_t wstride,
-                                 double* stats) noexcept;
+void multinormal_accumulate(const double* const* cols, std::size_t d,
+                            std::size_t i0, std::size_t n,
+                            const double* weights, std::size_t wstride,
+                            double* stats) noexcept;
 
 void det_exp(const double* x, double* y, std::size_t n) noexcept;
 

@@ -1,10 +1,11 @@
-// Kernel-layer tests: the batched Term::log_prob_batch E-step kernels and
-// the Term::accumulate_batch M-step kernels must be *bit-identical* to
-// their scalar oracles (the per-item virtual log_prob / accumulate chains)
-// for every term family, with and without missing values — the determinism
-// contract of DESIGN.md's kernel section.  The blocked EM drivers must in
-// turn be invariant in the thread count (EmConfig::threads /
-// PAC_EM_THREADS): per-block partials folded in block-index order make
+// Kernel-layer tests: the batched Term::log_prob_batch E-step kernels must
+// be *bit-identical* to the per-item virtual log_prob chain, and the
+// Term::accumulate_batch M-step kernels to a reference built out of the
+// per-item accumulate in the family's pinned association, for every term
+// family, with and without missing values, at every SIMD level — the
+// determinism contract of DESIGN.md's kernel section.  The blocked EM
+// drivers must in turn be invariant in the thread count (EmConfig::threads
+// / PAC_EM_THREADS): per-block partials folded in block-index order make
 // every trajectory a pure function of the block size.  Also covers the
 // degenerate-row guard and the seed-item draw fallback fix.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "autoclass/em.hpp"
 #include "autoclass/report.hpp"
@@ -129,10 +131,10 @@ TEST(TermKernels, IgnoreTermIsANoOp) {
   expect_term_batch_matches_scalar(model);
 }
 
-// ---- term-level: accumulate_batch vs the scalar accumulate oracle ----
+// ---- term-level: accumulate_batch vs the pinned-association reference ----
 
 /// Synthetic membership column: varied magnitudes with exact zeros and
-/// negatives sprinkled in (the w <= 0 entries the scalar M-step skips).
+/// negatives sprinkled in (the w <= 0 entries the M-step skips).
 std::vector<double> synthetic_weights(std::size_t n, std::size_t stride) {
   std::vector<double> w(n * stride, -1.0);  // off-column slots are poison
   for (std::size_t i = 0; i < n; ++i) {
@@ -145,34 +147,80 @@ std::vector<double> synthetic_weights(std::size_t n, std::size_t stride) {
   return w;
 }
 
-/// Batched accumulation over a partial range and a strided (J=3 column)
-/// weight layout must match the per-item scalar chain bit-for-bit,
-/// including the w <= 0 skips.
-void expect_term_accumulate_matches_scalar(const Model& model) {
+/// The contract of Term::accumulate_batch, built out of the per-item
+/// accumulate.  Multinomial and ignore fold in item order straight into
+/// `stats`.  The moment families use the 4-lane association: over the full
+/// groups of four, item q goes to lane q % 4 of four zeroed stat buffers
+/// (skipped unless w > 0); the lanes combine slot by slot as
+/// ((l0+l1)+l2)+l3; the tail items fold into the combination in item
+/// order; finally stats += combined.
+void reference_accumulate(const Term& term, data::ItemRange range,
+                          const double* weights, std::size_t stride,
+                          std::span<double> stats) {
+  const std::size_t n = range.size();
+  const TermKind kind = term.spec().kind;
+  if (kind == TermKind::kSingleMultinomial || kind == TermKind::kIgnore) {
+    for (std::size_t q = 0; q < n; ++q)
+      if (weights[q * stride] > 0.0)
+        term.accumulate(range.begin + q, weights[q * stride], stats);
+    return;
+  }
+  const std::size_t size = term.stats_size();
+  const std::size_t full = n - n % 4;
+  std::vector<double> lanes(4 * size, 0.0);
+  for (std::size_t q = 0; q < full; ++q)
+    if (weights[q * stride] > 0.0)
+      term.accumulate(range.begin + q, weights[q * stride],
+                      std::span<double>(lanes.data() + q % 4 * size, size));
+  std::vector<double> combined(size);
+  for (std::size_t s = 0; s < size; ++s)
+    combined[s] = ((lanes[s] + lanes[size + s]) + lanes[2 * size + s]) +
+                  lanes[3 * size + s];
+  for (std::size_t q = full; q < n; ++q)
+    if (weights[q * stride] > 0.0)
+      term.accumulate(range.begin + q, weights[q * stride], combined);
+  for (std::size_t s = 0; s < size; ++s) stats[s] += combined[s];
+}
+
+/// Batched accumulation over ranges of every tail length, a contiguous and
+/// a strided (J=3 column) weight layout, and a non-zero base must match the
+/// reference bit-for-bit, including the w <= 0 skips.
+void expect_term_accumulate_matches_reference(const Model& model) {
   const std::size_t n = model.dataset().num_items();
-  const data::ItemRange part{n / 5, n - n / 9};
+  const std::size_t begin = n / 5;
   for (std::size_t t = 0; t < model.num_terms(); ++t) {
     const Term& term = model.term(t);
     for (const std::size_t stride : {std::size_t{1}, std::size_t{3}}) {
       const std::vector<double> w = synthetic_weights(n, stride);
-      // Non-zero base stats so additions (not overwrites) are checked.
-      std::vector<double> scalar(term.stats_size(), 0.125);
-      std::vector<double> batch = scalar;
-      for (std::size_t i = part.begin; i < part.end; ++i) {
-        const double wi = w[(i - part.begin) * stride];
-        if (wi <= 0.0) continue;
-        term.accumulate(i, wi, scalar);
+      for (const std::size_t length :
+           {std::size_t{1}, std::size_t{3}, std::size_t{4}, std::size_t{7},
+            std::size_t{255}, std::size_t{256}, std::size_t{257}, n / 2,
+            n - n / 5 - n / 9}) {
+        const data::ItemRange part{begin, begin + std::min(length, n - begin)};
+        // Non-zero base stats so additions (not overwrites) are checked.
+        std::vector<double> reference(term.stats_size(), 0.125);
+        std::vector<double> batch = reference;
+        reference_accumulate(term, part, w.data(), stride, reference);
+        term.accumulate_batch(part, w.data(), stride, batch);
+        expect_bit_identical(batch, reference);
       }
-      term.accumulate_batch(part, w.data(), stride, batch);
-      expect_bit_identical(batch, scalar);
     }
+  }
+}
+
+/// The reference is the contract at every dispatch level: the AVX2 lanes
+/// and the portable fold must both reproduce it.
+void expect_mstep_kernels_match_reference(const Model& model) {
+  for (const simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
+    const simd::ScopedForceLevel pin(level);  // AVX2 clamps to detected
+    expect_term_accumulate_matches_reference(model);
   }
 }
 
 TEST(TermMStepKernels, SingleNormalWithMissing) {
   data::LabeledDataset ld = data::paper_dataset(700, 21);
   data::inject_missing(ld.dataset, 0.2, 5);
-  expect_term_accumulate_matches_scalar(Model::default_model(ld.dataset));
+  expect_mstep_kernels_match_reference(Model::default_model(ld.dataset));
 }
 
 TEST(TermMStepKernels, SingleMultinomialWithMissing) {
@@ -182,12 +230,12 @@ TEST(TermMStepKernels, SingleMultinomialWithMissing) {
   };
   data::LabeledDataset ld = data::categorical_mixture(mix, 600, 22);
   data::inject_missing(ld.dataset, 0.2, 6);
-  expect_term_accumulate_matches_scalar(Model::default_model(ld.dataset));
+  expect_mstep_kernels_match_reference(Model::default_model(ld.dataset));
   // Missing-as-extra-symbol redirects missing items to the extra count
   // slot instead of skipping them: cover both policies.
   ModelConfig config;
   config.missing_as_extra_value = true;
-  expect_term_accumulate_matches_scalar(
+  expect_mstep_kernels_match_reference(
       Model::default_model(ld.dataset, config));
 }
 
@@ -198,7 +246,7 @@ TEST(TermMStepKernels, MultiNormalBlock) {
       {0.5, {3.0, 1.0}, {1.0, 0.0, -r, std::sqrt(1 - r * r)}},
   };
   const data::LabeledDataset ld = data::correlated_mixture(mix, 500, 23);
-  expect_term_accumulate_matches_scalar(Model::correlated_model(ld.dataset));
+  expect_mstep_kernels_match_reference(Model::correlated_model(ld.dataset));
 }
 
 TEST(TermMStepKernels, SingleLognormalWithMissing) {
@@ -210,14 +258,14 @@ TEST(TermMStepKernels, SingleLognormalWithMissing) {
   TermSpec spec;
   spec.kind = TermKind::kSingleLognormal;
   spec.attributes = {0};
-  expect_term_accumulate_matches_scalar(Model(d, {spec}));
+  expect_mstep_kernels_match_reference(Model(d, {spec}));
 }
 
 TEST(TermMStepKernels, IgnoreTermIsANoOp) {
   const data::LabeledDataset ld = data::paper_dataset(100, 25);
   TermSpec normal{TermKind::kSingleNormal, {0}};
   TermSpec ignore{TermKind::kIgnore, {1}};
-  expect_term_accumulate_matches_scalar(Model(ld.dataset, {normal, ignore}));
+  expect_mstep_kernels_match_reference(Model(ld.dataset, {normal, ignore}));
 }
 
 // ---- EM-level: blocked update_wts vs the scalar oracle ----
@@ -326,29 +374,65 @@ TEST(UpdateWtsKernel, PartitionedRanksBitEqualScalarRanks) {
   }
 }
 
-// ---- EM-level: blocked update_parameters vs the scalar oracle ----
+// ---- EM-level: blocked update_parameters vs the blocked reference ----
 
-/// Run `cycles` full cycles twice over the same init — once through the
-/// accumulate_batch kernels, once through the per-item scalar chain — and
-/// require bit-equal statistics, parameters, and E-step results every step.
+/// The M-step's blocked fold rebuilt from the reference: kEStepBlock-item
+/// blocks over `range`, reference_accumulate per (class, term) into a
+/// zeroed block partial, and the partials summed in block order.
+std::vector<double> reference_statistics(const Model& model,
+                                         data::ItemRange range,
+                                         std::span<const double> weights,
+                                         std::size_t j) {
+  const std::size_t spc = model.stats_per_class();
+  std::vector<double> stats(j * spc, 0.0);
+  std::vector<double> partial(j * spc);
+  for (std::size_t lo = range.begin; lo < range.end; lo += kEStepBlock) {
+    const data::ItemRange block{lo, std::min(lo + kEStepBlock, range.end)};
+    const double* block_weights = weights.data() + (lo - range.begin) * j;
+    std::fill(partial.begin(), partial.end(), 0.0);
+    for (std::size_t k = 0; k < j; ++k)
+      for (std::size_t t = 0; t < model.num_terms(); ++t)
+        reference_accumulate(
+            model.term(t), block, block_weights + k, j,
+            std::span<double>(partial.data() + k * spc + model.stats_offset(t),
+                              model.term(t).stats_size()));
+    for (std::size_t s = 0; s < j * spc; ++s) stats[s] += partial[s];
+  }
+  return stats;
+}
+
+/// Run `cycles` full cycles over `range` and require, at every M-step,
+/// statistics bit-equal to the blocked reference over the weights the
+/// M-step read, and parameters bit-equal to the MAP update of them.
 void expect_mstep_bit_equal(const Model& model, std::size_t j,
-                            std::uint64_t seed, int cycles = 3) {
-  const data::ItemRange all{0, model.dataset().num_items()};
-  Reducer ra, rb;
-  EmWorker a(model, all, ra);
-  EmWorker b(model, all, rb);
-  Classification ca(model, j), cb(model, j);
-  a.random_init(ca, seed, 0, EmConfig{});
-  b.random_init(cb, seed, 0, EmConfig{});
+                            std::uint64_t seed, int cycles = 3,
+                            data::ItemRange range = {}) {
+  if (range.empty()) range = {0, model.dataset().num_items()};
+  Reducer identity;
+  EmWorker worker(model, range, identity);
+  Classification c(model, j);
+  worker.random_init(c, seed, 0, EmConfig{});
+  const std::size_t spc = model.stats_per_class();
   for (int cycle = 0; cycle < cycles; ++cycle) {
-    a.update_parameters(ca);
-    b.update_parameters_scalar(cb);
-    expect_bit_identical(a.statistics(), b.statistics());
-    expect_bit_identical(ca.all_params(), cb.all_params());
-    const double la = a.update_wts(ca);
-    const double lb = b.update_wts(cb);
-    ASSERT_EQ(la, lb) << "cycle " << cycle;
-    expect_bit_identical(a.local_weights(), b.local_weights());
+    const std::vector<double> weights(worker.local_weights().begin(),
+                                      worker.local_weights().end());
+    worker.update_parameters(c);
+    const std::vector<double> stats =
+        reference_statistics(model, range, weights, j);
+    expect_bit_identical(worker.statistics(), stats);
+    for (std::size_t k = 0; k < j; ++k) {
+      for (std::size_t t = 0; t < model.num_terms(); ++t) {
+        const Term& term = model.term(t);
+        std::vector<double> params(term.param_size());
+        term.update_params(
+            std::span<const double>(stats.data() + k * spc +
+                                        model.stats_offset(t),
+                                    term.stats_size()),
+            params);
+        expect_bit_identical(std::as_const(c).param_block(k, t), params);
+      }
+    }
+    worker.update_wts(c);
   }
 }
 
@@ -412,19 +496,9 @@ TEST(UpdateParamsKernel, PartitionedRanksBitEqualScalarRanks) {
   data::LabeledDataset ld = data::paper_dataset(1000, 35);
   data::inject_missing(ld.dataset, 0.1, 12);
   const Model model = Model::default_model(ld.dataset);
-  for (int rank = 0; rank < 3; ++rank) {
-    const data::ItemRange part = data::block_partition(1000, 3, rank);
-    Reducer ra, rb;
-    EmWorker a(model, part, ra);
-    EmWorker b(model, part, rb);
-    Classification ca(model, 4), cb(model, 4);
-    a.random_init(ca, 7, 0, EmConfig{});
-    b.random_init(cb, 7, 0, EmConfig{});
-    a.update_parameters(ca);
-    b.update_parameters_scalar(cb);
-    expect_bit_identical(a.statistics(), b.statistics());
-    expect_bit_identical(ca.all_params(), cb.all_params());
-  }
+  for (int rank = 0; rank < 3; ++rank)
+    expect_mstep_bit_equal(model, 4, 7, 1,
+                           data::block_partition(1000, 3, rank));
 }
 
 // ---- thread-count invariance ----
@@ -556,7 +630,7 @@ TEST(ThreadInvariance, EnvVariableMatchesExplicitConfig) {
 }
 
 TEST(ThreadInvariance, ScalarOraclesAreAlsoThreadInvariant) {
-  // The scalar E/M oracles share the blocked drivers, so they too must be
+  // The scalar E-step oracle shares the blocked driver, so it too must be
   // invariant — otherwise the equality tests would only hold at 1 thread.
   data::LabeledDataset ld = data::paper_dataset(600, 47);
   data::inject_missing(ld.dataset, 0.1, 17);
@@ -571,7 +645,7 @@ TEST(ThreadInvariance, ScalarOraclesAreAlsoThreadInvariant) {
     EmConfig config;
     config.threads = threads;
     worker.random_init(c, 207, 0, config);
-    worker.update_parameters_scalar(c);
+    worker.update_parameters(c);
     loglikes.push_back(worker.update_wts_scalar(c));
     const std::span<const double> w = worker.local_weights();
     weights.emplace_back(w.begin(), w.end());
@@ -937,12 +1011,12 @@ void expect_simd_matches_forced_scalar(const Model& model) {
   {
     simd::ScopedForceLevel vec(simd::Level::kAvx2);  // clamps to detected
     expect_term_batch_matches_scalar(model);
-    expect_term_accumulate_matches_scalar(model);
+    expect_term_accumulate_matches_reference(model);
   }
   {
     simd::ScopedForceLevel scalar(simd::Level::kScalar);
     expect_term_batch_matches_scalar(model);
-    expect_term_accumulate_matches_scalar(model);
+    expect_term_accumulate_matches_reference(model);
   }
 }
 
@@ -1026,230 +1100,6 @@ TEST(SimdKernels, ThreadInvariantWithVectorKernelsForced) {
   data::LabeledDataset ld = data::paper_dataset(900, 66);
   data::inject_missing(ld.dataset, 0.15, 21);
   expect_thread_invariant(Model::default_model(ld.dataset), 4, 302);
-}
-
-// ---- fast-math tier: tolerance oracle ----
-
-/// Relative-error check for the tolerance tier: every slot must agree with
-/// the oracle to `rel` (relative to the larger magnitude, floored at 1).
-void expect_close(std::span<const double> a, std::span<const double> b,
-                  double rel) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double denom =
-        std::max({std::abs(a[i]), std::abs(b[i]), 1.0});
-    ASSERT_LE(std::abs(a[i] - b[i]), rel * denom) << "slot " << i;
-  }
-}
-
-/// Per-family error bound: the reassociated fold differs from the in-order
-/// oracle only by summation order over <= a few thousand items, so the
-/// relative error stays within a few ulps times log2(n).
-void expect_fast_accumulate_within_tolerance(const Model& model, double rel) {
-  const std::size_t n = model.dataset().num_items();
-  const data::ItemRange all{0, n};
-  for (std::size_t t = 0; t < model.num_terms(); ++t) {
-    const Term& term = model.term(t);
-    if (term.stats_size() == 0) continue;
-    const std::vector<double> w = synthetic_weights(n, 3);
-    std::vector<double> exact(term.stats_size(), 0.125);
-    std::vector<double> fast = exact;
-    term.accumulate_batch(all, w.data(), 3, exact);
-    term.accumulate_batch_fast(all, w.data(), 3, fast);
-    expect_close(fast, exact, rel);
-  }
-}
-
-TEST(FastMathKernels, GaussianAccumulateWithinTolerance) {
-  data::LabeledDataset ld = data::paper_dataset(1100, 71);
-  data::inject_missing(ld.dataset, 0.15, 22);
-  expect_fast_accumulate_within_tolerance(Model::default_model(ld.dataset),
-                                          1e-12);
-}
-
-TEST(FastMathKernels, LognormalAccumulateWithinTolerance) {
-  Dataset d(Schema({Attribute::real("mass", 0.01)}), 800);
-  Xoshiro256ss rng(72);
-  for (std::size_t i = 0; i < 800; ++i)
-    d.set_real(i, 0, std::exp(1.0 + 0.5 * normal01(rng)));
-  for (std::size_t i = 3; i < 800; i += 11) d.set_missing(i, 0);
-  TermSpec spec;
-  spec.kind = TermKind::kSingleLognormal;
-  spec.attributes = {0};
-  expect_fast_accumulate_within_tolerance(Model(d, {spec}), 1e-12);
-}
-
-TEST(FastMathKernels, MultiNormalAccumulateWithinTolerance) {
-  const double r = 0.85;
-  const std::vector<data::CorrelatedComponent> mix = {
-      {0.5, {0.0, 0.0}, {1.0, 0.0, r, std::sqrt(1 - r * r)}},
-      {0.5, {4.0, 2.0}, {1.0, 0.0, -r, std::sqrt(1 - r * r)}},
-  };
-  const data::LabeledDataset ld = data::correlated_mixture(mix, 900, 73);
-  expect_fast_accumulate_within_tolerance(Model::correlated_model(ld.dataset),
-                                          1e-11);
-}
-
-TEST(FastMathKernels, MultinomialFastFoldIsExact) {
-  // No fast kernel for the bincount family: accumulate_batch_fast must
-  // defer to the bit-identical batch kernel.
-  const std::vector<data::CategoricalComponent> mix = {
-      {0.5, {{0.7, 0.2, 0.1}, {0.6, 0.4}}},
-      {0.5, {{0.1, 0.2, 0.7}, {0.3, 0.7}}},
-  };
-  data::LabeledDataset ld = data::categorical_mixture(mix, 700, 74);
-  data::inject_missing(ld.dataset, 0.2, 23);
-  const Model model = Model::default_model(ld.dataset);
-  const std::size_t n = ld.dataset.num_items();
-  for (std::size_t t = 0; t < model.num_terms(); ++t) {
-    const Term& term = model.term(t);
-    const std::vector<double> w = synthetic_weights(n, 1);
-    std::vector<double> exact(term.stats_size(), 0.0);
-    std::vector<double> fast = exact;
-    term.accumulate_batch(data::ItemRange{0, n}, w.data(), 1, exact);
-    term.accumulate_batch_fast(data::ItemRange{0, n}, w.data(), 1, fast);
-    expect_bit_identical(fast, exact);
-  }
-}
-
-/// The fast tier's association is fixed by contract, not by the ISA: the
-/// AVX2 and portable folds must agree bit-for-bit, not just to tolerance.
-void expect_fast_fold_level_invariant(const Model& model) {
-  const std::size_t n = model.dataset().num_items();
-  for (std::size_t t = 0; t < model.num_terms(); ++t) {
-    const Term& term = model.term(t);
-    if (term.stats_size() == 0) continue;
-    const std::vector<double> w = synthetic_weights(n, 3);
-    std::vector<double> vec_stats(term.stats_size(), 0.125);
-    std::vector<double> portable_stats = vec_stats;
-    {
-      simd::ScopedForceLevel vec(simd::Level::kAvx2);
-      term.accumulate_batch_fast(data::ItemRange{0, n}, w.data(), 3,
-                                 vec_stats);
-    }
-    {
-      simd::ScopedForceLevel scalar(simd::Level::kScalar);
-      term.accumulate_batch_fast(data::ItemRange{0, n}, w.data(), 3,
-                                 portable_stats);
-    }
-    expect_bit_identical(vec_stats, portable_stats);
-  }
-}
-
-TEST(FastMathKernels, FastFoldIsDispatchLevelInvariant) {
-  data::LabeledDataset ld = data::paper_dataset(1000, 75);
-  data::inject_missing(ld.dataset, 0.1, 24);
-  expect_fast_fold_level_invariant(Model::default_model(ld.dataset));
-  const double r = 0.7;
-  const std::vector<data::CorrelatedComponent> mix = {
-      {0.5, {0.0, 0.0}, {1.0, 0.0, r, std::sqrt(1 - r * r)}},
-      {0.5, {2.0, 2.0}, {1.0, 0.0, -r, std::sqrt(1 - r * r)}},
-  };
-  const data::LabeledDataset cld = data::correlated_mixture(mix, 1000, 76);
-  expect_fast_fold_level_invariant(Model::correlated_model(cld.dataset));
-}
-
-TEST(FastMathKernels, ResolveFastMathPolicy) {
-  EXPECT_TRUE(resolve_fast_math(1));
-  EXPECT_FALSE(resolve_fast_math(-1));
-  unsetenv("PAC_FAST_MATH");
-  EXPECT_FALSE(resolve_fast_math(0));
-  setenv("PAC_FAST_MATH", "1", 1);
-  EXPECT_TRUE(resolve_fast_math(0));
-  setenv("PAC_FAST_MATH", "on", 1);
-  EXPECT_TRUE(resolve_fast_math(0));
-  setenv("PAC_FAST_MATH", "0", 1);
-  EXPECT_FALSE(resolve_fast_math(0));
-  setenv("PAC_FAST_MATH", "off", 1);
-  EXPECT_FALSE(resolve_fast_math(0));
-  unsetenv("PAC_FAST_MATH");
-}
-
-// ---- fast-math tier: full-EM trajectory tolerance and determinism ----
-
-ThreadRun run_fast_math(const Model& model, std::size_t j, std::uint64_t seed,
-                        int threads, int fast_math, int cycles = 8) {
-  EmConfig config;
-  config.threads = threads;
-  config.fast_math = fast_math;
-  config.max_cycles = cycles;
-  return run_with_config(model, j, seed, config);
-}
-
-TEST(FastMathEm, TrajectoryWithinToleranceOfExactTier) {
-  data::LabeledDataset ld = data::paper_dataset(1000, 81);
-  data::inject_missing(ld.dataset, 0.1, 25);
-  const Model model = Model::default_model(ld.dataset);
-  const ThreadRun exact = run_fast_math(model, 4, 401, 1, -1);
-  const ThreadRun fast = run_fast_math(model, 4, 401, 1, 1);
-  // A fixed modest cycle count keeps the comparison on the same EM path;
-  // the reassociation error itself is ~1e-15 per fold and grows mildly.
-  expect_close(fast.params, exact.params, 1e-7);
-  expect_close(fast.class_weights, exact.class_weights, 1e-7);
-  ASSERT_LE(std::abs(fast.log_likelihood - exact.log_likelihood),
-            1e-7 * std::max(1.0, std::abs(exact.log_likelihood)));
-  ASSERT_LE(std::abs(fast.cs_score - exact.cs_score),
-            1e-7 * std::max(1.0, std::abs(exact.cs_score)));
-  EXPECT_EQ(fast.labels, exact.labels);
-}
-
-TEST(FastMathEm, MultiNormalTrajectoryWithinTolerance) {
-  const double r = 0.85;
-  const std::vector<data::CorrelatedComponent> mix = {
-      {0.5, {0.0, 0.0}, {1.0, 0.0, r, std::sqrt(1 - r * r)}},
-      {0.5, {4.0, 2.0}, {1.0, 0.0, -r, std::sqrt(1 - r * r)}},
-  };
-  const data::LabeledDataset ld = data::correlated_mixture(mix, 800, 82);
-  const Model model = Model::correlated_model(ld.dataset);
-  const ThreadRun exact = run_fast_math(model, 3, 402, 1, -1);
-  const ThreadRun fast = run_fast_math(model, 3, 402, 1, 1);
-  expect_close(fast.params, exact.params, 1e-6);
-  ASSERT_LE(std::abs(fast.cs_score - exact.cs_score),
-            1e-6 * std::max(1.0, std::abs(exact.cs_score)));
-  EXPECT_EQ(fast.labels, exact.labels);
-}
-
-TEST(FastMathEm, ThreadAndDispatchLevelInvariant) {
-  // The fast tier is deterministic: {1, 4} threads x {vector, forced-scalar}
-  // dispatch must all produce bit-identical trajectories — only the *exact*
-  // tier comparison is a tolerance check.
-  data::LabeledDataset ld = data::paper_dataset(900, 83);
-  data::inject_missing(ld.dataset, 0.1, 26);
-  const Model model = Model::default_model(ld.dataset);
-  ThreadRun base;
-  {
-    simd::ScopedForceLevel vec(simd::Level::kAvx2);
-    base = run_fast_math(model, 3, 403, 1, 1);
-  }
-  for (const int threads : {1, 4}) {
-    for (const bool force_scalar : {false, true}) {
-      if (threads == 1 && !force_scalar) continue;  // the base run
-      const simd::Level request =
-          force_scalar ? simd::Level::kScalar : simd::Level::kAvx2;
-      simd::ScopedForceLevel guard(request);
-      const ThreadRun run = run_fast_math(model, 3, 403, threads, 1);
-      expect_bit_identical(run.weights, base.weights);
-      expect_bit_identical(run.params, base.params);
-      expect_bit_identical(run.class_weights, base.class_weights);
-      ASSERT_EQ(run.log_likelihood, base.log_likelihood)
-          << threads << " threads, force_scalar=" << force_scalar;
-      ASSERT_EQ(run.cs_score, base.cs_score);
-    }
-  }
-}
-
-TEST(FastMathEm, EnvVariableMatchesExplicitConfig) {
-  // EmConfig::fast_math = 0 reads PAC_FAST_MATH; the trajectory must match
-  // the tier requested explicitly, bit for bit.
-  data::LabeledDataset ld = data::paper_dataset(500, 84);
-  const Model model = Model::default_model(ld.dataset);
-  const ThreadRun explicit_fast = run_fast_math(model, 3, 404, 1, 1);
-  setenv("PAC_FAST_MATH", "1", 1);
-  const ThreadRun via_env = run_fast_math(model, 3, 404, 1, 0);
-  unsetenv("PAC_FAST_MATH");
-  expect_bit_identical(via_env.weights, explicit_fast.weights);
-  expect_bit_identical(via_env.params, explicit_fast.params);
-  ASSERT_EQ(via_env.cs_score, explicit_fast.cs_score);
 }
 
 }  // namespace

@@ -124,7 +124,7 @@ std::vector<std::vector<double>> transport_trajectories(
       static_cast<std::size_t>(ranks));
   const ac::Model model = ac::Model::default_model(dataset);
   const auto fn = [&](mp::Comm& comm) {
-    mp::testutil::cycle_suite(comm, model, /*scalar=*/false, /*threads=*/2,
+    mp::testutil::cycle_suite(comm, model, /*threads=*/2,
                               sinks[static_cast<std::size_t>(comm.rank())]);
   };
   if (hybrid) {
@@ -148,10 +148,9 @@ TEST(OutOfCore, TransportsSeeIdenticalTrajectories) {
       cfg.num_ranks = ranks;
       mp::World world(cfg);
       world.run([&](mp::Comm& comm) {
-        mp::testutil::cycle_suite(comm, model, /*scalar=*/false,
-                                  /*threads=*/2,
-                                  reference[static_cast<std::size_t>(
-                                      comm.rank())]);
+        mp::testutil::cycle_suite(
+            comm, model, /*threads=*/2,
+            reference[static_cast<std::size_t>(comm.rank())]);
       });
     }
     // ...must match the chunked backend on every transport.
