@@ -64,6 +64,12 @@ PAIRS = [
     # parse of the same rows.  Within-run ratio, so it survives machine
     # changes; a collapse means the binary loader grew a parse-shaped cost.
     ("ingest-binary-over-ascii", "BM_IngestAscii", "BM_IngestBinary"),
+    # Chunked store under concurrent readers (bench/data_ingest): the same
+    # budgeted scan by 4 pool threads claiming chunk-aligned runs vs one
+    # thread (wall-clock).  A store that serializes its readers again (pread
+    # and CRC under one lock, or every thread on one chunk) drops this to
+    # about 1x.  Needs 4 hardware threads to reach the baseline ratio.
+    ("chunked-scan-4-threads", "BM_IngestChunkedScan", "BM_IngestChunkedScanThreads/real_time"),
     # Hybrid shm transport (bench/transport_throughput standalone mode):
     # same-host rank pairs over SPSC shm rings vs the full socket mesh, on
     # loopback 2-rank worlds.  Small-message round trips are the headline

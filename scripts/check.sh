@@ -165,8 +165,9 @@ else
 fi
 
 # Ingest path (bench/data_ingest): binary .pacb load vs ASCII parse of the
-# same rows.  Sanitizer instrumentation hits the text parser and the
-# memcpy-width binary reader very differently, so the gate skips there.
+# same rows, and a budgeted chunked scan by 4 threads vs 1.  Sanitizer
+# instrumentation hits the text parser and the memcpy-width binary reader
+# very differently, so the gate skips there.
 PERF_INGEST_JSON="$BUILD_DIR/BENCH_data_ingest.json"
 echo "== perf smoke: bench/data_ingest $SMOKE -> $PERF_INGEST_JSON =="
 if ! "$BUILD_DIR"/bench/data_ingest $SMOKE \

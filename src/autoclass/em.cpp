@@ -109,11 +109,22 @@ EmWorker::~EmWorker() = default;
 
 void EmWorker::run_blocks(std::size_t blocks,
                           const std::function<void(std::size_t)>& fn) {
-  if (pool_ != nullptr) {
-    pool_->run(blocks, fn);
+  if (pool_ == nullptr) {
+    for (std::size_t b = 0; b < blocks; ++b) fn(b);
     return;
   }
-  for (std::size_t b = 0; b < blocks; ++b) fn(b);
+  // Threads claim runs of consecutive blocks spanning one storage chunk
+  // (single blocks on a resident store), so they load different chunks at
+  // the same time instead of queueing for one.  A run is at most a
+  // thread's share, so small partitions still spread over every thread.
+  // Which thread runs a block never changes its result.
+  const std::size_t run = std::max<std::size_t>(
+      1, std::min(data_->store().chunk_rows() / kEStepBlock,
+                  (blocks + threads_ - 1) / threads_));
+  pool_->run((blocks + run - 1) / run, [&](std::size_t r) {
+    const std::size_t end = std::min(blocks, (r + 1) * run);
+    for (std::size_t b = r * run; b < end; ++b) fn(b);
+  });
 }
 
 void EmWorker::random_init(Classification& c, std::uint64_t seed,

@@ -267,8 +267,9 @@ class EmWorker {
   /// Common epilogue of both E-step paths: charge, reduce, store results.
   double finish_update_wts(Classification& c,
                            std::span<double> wj_and_loglike);
-  /// Run fn(b) for every block index in [0, blocks): through the pool when
-  /// one is configured, inline otherwise.  fn must not throw.
+  /// Run fn(b) for every block index in [0, blocks): through the pool, in
+  /// chunk-aligned runs of blocks, when one is configured; inline
+  /// otherwise.  fn must not throw.
   void run_blocks(std::size_t blocks,
                   const std::function<void(std::size_t)>& fn);
 

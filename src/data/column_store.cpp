@@ -66,6 +66,12 @@ ColumnProfile ProfileBuilder::finish() const {
   return p;
 }
 
+// ---- ColumnStore ----
+
+std::size_t ColumnStore::chunk_rows() const noexcept {
+  return resident() ? 0 : format::kDefaultChunkRows;
+}
+
 // ---- ResidentStore ----
 
 ResidentStore::ResidentStore(Schema schema, std::size_t num_items)
@@ -247,7 +253,8 @@ ChunkedStore::ChunkedStore(std::string path, int fd,
       path_(std::move(path)),
       fd_(fd),
       layout_(std::move(layout)),
-      budget_bytes_(budget_bytes) {}
+      budget_bytes_(budget_bytes),
+      slots_(layout_->num_chunks() * layout_->schema.size()) {}
 
 ChunkedStore::~ChunkedStore() {
   if (fd_ >= 0) ::close(fd_);
@@ -271,33 +278,35 @@ std::size_t ChunkedStore::cached_bytes() const {
   return cached_bytes_;
 }
 
-const ChunkedStore::Chunk& ChunkedStore::load_chunk_locked(
-    std::size_t attr, std::size_t c) const {
-  const std::size_t key = attr * layout_->num_chunks() + c;
-  const auto hit = cache_.find(key);
-  if (hit != cache_.end()) {
-    lru_.splice(lru_.begin(), lru_, hit->second.lru_it);
-    return hit->second;
-  }
+std::size_t ChunkedStore::chunk_bytes(std::size_t attr,
+                                      std::size_t c) const noexcept {
+  return layout_->rows_in_chunk(c) * layout_->elem_bytes[attr];
+}
 
+std::shared_ptr<const void> ChunkedStore::read_chunk(std::size_t attr,
+                                                     std::size_t c) const {
   const Attribute& a = schema_.at(attr);
   const std::size_t rows = layout_->rows_in_chunk(c);
-  const std::size_t bytes = rows * layout_->elem_bytes[attr];
+  const std::size_t bytes = chunk_bytes(attr, c);
 
-  Chunk chunk;
+  // pin aliases the buffer's values, so pin.get() is the typed start.
+  std::shared_ptr<const void> pin;
+  void* data = nullptr;
   if (a.kind == AttributeKind::kReal) {
     auto buf = std::make_shared<std::vector<double>>(rows);
-    pread_exact(fd_, buf->data(), bytes, layout_->column_data_offset(c, attr),
-                path_, static_cast<std::ptrdiff_t>(c),
-                static_cast<std::ptrdiff_t>(attr), a.name);
-    chunk.data = buf->data();
-    chunk.pin = std::move(buf);
+    data = buf->data();
+    pin = std::shared_ptr<const void>(buf, data);
   } else {
     auto buf = std::make_shared<std::vector<std::int32_t>>(rows);
-    pread_exact(fd_, buf->data(), bytes, layout_->column_data_offset(c, attr),
-                path_, static_cast<std::ptrdiff_t>(c),
-                static_cast<std::ptrdiff_t>(attr), a.name);
-    for (const std::int32_t v : *buf) {
+    data = buf->data();
+    pin = std::shared_ptr<const void>(buf, data);
+  }
+  pread_exact(fd_, data, bytes, layout_->column_data_offset(c, attr), path_,
+              static_cast<std::ptrdiff_t>(c),
+              static_cast<std::ptrdiff_t>(attr), a.name);
+  if (a.kind == AttributeKind::kDiscrete) {
+    for (const std::int32_t v :
+         std::span(static_cast<const std::int32_t*>(data), rows)) {
       if (v != kMissingDiscrete && (v < 0 || v >= a.num_values)) {
         std::ostringstream os;
         os << "'" << path_ << "' chunk " << c << ", column " << attr << " '"
@@ -307,17 +316,14 @@ const ChunkedStore::Chunk& ChunkedStore::load_chunk_locked(
                                   static_cast<std::ptrdiff_t>(attr));
       }
     }
-    chunk.data = buf->data();
-    chunk.pin = std::move(buf);
   }
-  chunk.bytes = bytes;
 
   std::uint32_t stored = 0;
   pread_exact(fd_, &stored, sizeof(stored),
               layout_->column_crc_offset(c, attr), path_,
               static_cast<std::ptrdiff_t>(c),
               static_cast<std::ptrdiff_t>(attr), a.name);
-  const std::uint32_t actual = format::crc32(chunk.data, bytes);
+  const std::uint32_t actual = format::crc32(data, bytes);
   if (stored != actual) {
     std::ostringstream os;
     os << "'" << path_ << "' checksum mismatch in chunk " << c << ", column "
@@ -326,44 +332,110 @@ const ChunkedStore::Chunk& ChunkedStore::load_chunk_locked(
     throw format::FormatError(os.str(), static_cast<std::ptrdiff_t>(c),
                               static_cast<std::ptrdiff_t>(attr));
   }
+  return pin;
+}
 
-  lru_.push_front(key);
-  chunk.lru_it = lru_.begin();
-  auto [it, inserted] = cache_.emplace(key, std::move(chunk));
-  PAC_CHECK(inserted);
-  cached_bytes_ += it->second.bytes;
+void ChunkedStore::touch(Slot& slot) const noexcept {
+  // Write the stamp only when it is stale, so threads hitting the same
+  // chunk within one load epoch only read its cache line.
+  const std::uint64_t now = clock_.load(std::memory_order_relaxed);
+  if (slot.tick.load(std::memory_order_relaxed) != now)
+    slot.tick.store(now, std::memory_order_relaxed);
+}
+
+std::shared_ptr<const void> ChunkedStore::cached(Slot& slot) const {
+  std::shared_ptr<const void> pin;
+  {
+    std::lock_guard<std::mutex> guard(slot.mutex);
+    pin = slot.pin;
+  }
+  if (pin) touch(slot);
+  return pin;
+}
+
+std::shared_ptr<const void> ChunkedStore::chunk(std::size_t attr,
+                                                std::size_t c) const {
+  const std::size_t key = attr * layout_->num_chunks() + c;
+  Slot& slot = slots_[key];
+  if (auto pin = cached(slot)) return pin;
+
+  // Miss: if another thread is loading this chunk, wait for it; then take
+  // what it published, or claim the slot (its load failed, or the chunk was
+  // already evicted again).
+  std::unique_lock<std::mutex> lock(mutex_);
+  loaded_.wait(lock, [&] { return !slot.loading; });
+  if (auto pin = cached(slot)) return pin;
+  slot.loading = true;
+  lock.unlock();
+
+  std::shared_ptr<const void> pin;
+  try {
+    pin = read_chunk(attr, c);
+  } catch (...) {
+    // Release the claim: each waiter then retries and fails the same way.
+    lock.lock();
+    slot.loading = false;
+    lock.unlock();
+    loaded_.notify_all();
+    throw;
+  }
+
+  lock.lock();
+  slot.tick.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> guard(slot.mutex);
+    slot.pin = pin;
+  }
+  slot.loading = false;
+  cached_.push_back(key);
+  cached_bytes_ += chunk_bytes(attr, c);
   ++loads_;
 
-  // Evict cold chunks down to the budget, never the one just loaded.
-  while (cached_bytes_ > budget_bytes_ && cache_.size() > 1) {
-    const std::size_t victim = lru_.back();
-    lru_.pop_back();
-    const auto vit = cache_.find(victim);
-    cached_bytes_ -= vit->second.bytes;
-    cache_.erase(vit);  // views still pinning the buffer keep it alive
+  // Evict the least recently stamped chunks down to the budget, never the
+  // one just loaded.  Views still pinning a victim keep its buffer alive.
+  while (cached_bytes_ > budget_bytes_ && cached_.size() > 1) {
+    std::size_t victim = cached_.size();
+    for (std::size_t i = 0; i < cached_.size(); ++i) {
+      if (cached_[i] == key) continue;
+      if (victim == cached_.size() ||
+          slots_[cached_[i]].tick.load(std::memory_order_relaxed) <
+              slots_[cached_[victim]].tick.load(std::memory_order_relaxed))
+        victim = i;
+    }
+    const std::size_t v = cached_[victim];
+    cached_[victim] = cached_.back();
+    cached_.pop_back();
+    {
+      std::lock_guard<std::mutex> guard(slots_[v].mutex);
+      slots_[v].pin.reset();
+    }
+    cached_bytes_ -= chunk_bytes(v / layout_->num_chunks(),
+                                 v % layout_->num_chunks());
   }
-  return it->second;
+  lock.unlock();
+  loaded_.notify_all();
+  return pin;
 }
 
 template <class T>
 ColumnBlockView<T> ChunkedStore::block(std::size_t attr,
                                        ItemRange range) const {
   if (range.empty()) return ColumnBlockView<T>();
-  std::lock_guard<std::mutex> lock(mutex_);
   const std::size_t rows = layout_->chunk_rows;
   const std::size_t c0 = range.begin / rows;
   const std::size_t c1 = (range.end - 1) / rows;
   if (c0 == c1) {
-    const Chunk& chunk = load_chunk_locked(attr, c0);
-    const T* base = static_cast<const T*>(chunk.data);
+    std::shared_ptr<const void> pin = chunk(attr, c0);
+    const T* base = static_cast<const T*>(pin.get());
     return ColumnBlockView<T>(base + (range.begin - c0 * rows), range.size(),
-                              chunk.pin);
+                              std::move(pin));
   }
   // The range straddles chunks: assemble into a transient pinned buffer.
   auto buf = std::make_shared<std::vector<T>>(range.size());
   for (std::size_t c = c0; c <= c1; ++c) {
-    const Chunk& chunk = load_chunk_locked(attr, c);
-    const T* base = static_cast<const T*>(chunk.data);
+    const std::shared_ptr<const void> pin = chunk(attr, c);
+    const T* base = static_cast<const T*>(pin.get());
     const std::size_t chunk_begin = c * rows;
     const std::size_t lo = std::max(range.begin, chunk_begin);
     const std::size_t hi =

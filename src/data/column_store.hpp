@@ -8,24 +8,26 @@
 //   * ResidentStore — today's fully in-memory columns.  A block view is a
 //     zero-copy pointer into the column vector.
 //   * ChunkedStore — out-of-core columns backed by a .pacb file (see
-//     format.hpp).  Chunks are pread() on demand into an LRU cache bounded
-//     by PAC_DATA_BUDGET_MB; a block view pins its chunk (shared_ptr) so
-//     eviction can never invalidate a view the kernels still hold.
+//     format.hpp).  Chunks are pread() on demand into a cache bounded by
+//     PAC_DATA_BUDGET_MB; a block view pins its chunk (shared_ptr) so
+//     eviction can never invalidate a view the kernels still hold.  EM
+//     threads read it concurrently: cache hits never take the store's
+//     mutex, and loads run outside it.
 //
 // Determinism contract: a block view exposes exactly the same values as the
 // resident column slice, so every EM trajectory is memcmp-identical between
 // backends at fixed block size (DESIGN.md §10).
 #pragma once
 
+#include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <limits>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -136,6 +138,14 @@ class ColumnStore {
   /// True when whole-column spans are available (ResidentStore).
   virtual bool resident() const noexcept = 0;
 
+  /// Rows per storage chunk: the run of consecutive items a non-resident
+  /// store loads at once, 0 for a resident store.  EM threads claim blocks
+  /// in chunk-sized runs so they load different chunks at the same time.
+  /// A non-resident store that does not say (a decorator over a
+  /// ChunkedStore) is taken to use the .pacb default; the value only steers
+  /// which thread reads which block, never what any block computes.
+  virtual std::size_t chunk_rows() const noexcept;
+
   virtual ColumnBlockView<double> real_block(std::size_t attr,
                                              ItemRange range) const = 0;
   virtual ColumnBlockView<std::int32_t> discrete_block(
@@ -214,11 +224,22 @@ class ResidentStore final : public ColumnStore {
 /// Out-of-core columns backed by an open .pacb file.
 ///
 /// Chunks (chunk_rows consecutive items of one column) load on demand via
-/// pread() and live in an LRU cache bounded by `budget_bytes` (at least one
-/// chunk stays cached regardless of the budget, so progress is always
-/// possible).  Block requests that straddle chunks are assembled into a
-/// transient pinned buffer.  Every chunk load re-verifies the stored CRC and
-/// throws format::FormatError naming the chunk and column on mismatch.
+/// pread() into a cache bounded by `budget_bytes` (at least one chunk stays
+/// cached regardless of the budget, so progress is always possible).  Block
+/// requests that straddle chunks are assembled into a transient pinned
+/// buffer.  Every chunk load re-verifies the stored CRC and throws
+/// format::FormatError naming the chunk and column on mismatch.
+///
+/// Concurrency (DESIGN.md §10): each (column, chunk) owns one slot holding
+/// its published, read-only buffer.  A hit copies the slot's pin under the
+/// slot's own mutex (one shared_ptr copy, contended only by threads on the
+/// same chunk) and stamps the current recency tick, without the store
+/// mutex.  A miss takes the store mutex only to claim the slot (single
+/// flight: later requesters of the same chunk wait for the claimant, so a
+/// chunk loads once), reads and verifies the chunk unlocked, then
+/// publishes it and evicts the least recently stamped chunks down to the
+/// budget under the store mutex.  A failed load releases the claim, and
+/// each waiter retries and fails the same way.
 class ChunkedStore final : public ColumnStore,
                            public std::enable_shared_from_this<ChunkedStore> {
  public:
@@ -245,7 +266,7 @@ class ChunkedStore final : public ColumnStore,
   const ColumnProfile& profile(std::size_t attr) const override;
   std::shared_ptr<ColumnStore> clone() override;
 
-  std::size_t chunk_rows() const noexcept;
+  std::size_t chunk_rows() const noexcept override;
   std::size_t num_chunks() const noexcept;
   std::size_t budget_bytes() const noexcept { return budget_bytes_; }
   /// Total chunk loads so far; loads > distinct chunks proves eviction.
@@ -257,15 +278,27 @@ class ChunkedStore final : public ColumnStore,
                std::unique_ptr<format::PacbLayout> layout,
                std::size_t budget_bytes);
 
-  struct Chunk {
-    std::shared_ptr<const void> pin;  // owns the buffer
-    const void* data = nullptr;       // typed start of the chunk's values
-    std::size_t bytes = 0;
-    std::list<std::size_t>::iterator lru_it;
+  // One cache slot per (column, chunk), indexed attr * num_chunks + c.
+  // Cache-line aligned so hits on neighbouring chunks from different
+  // threads do not share a line.
+  struct alignas(64) Slot {
+    std::mutex mutex;  // guards pin only; held to copy, set or reset it
+    // The chunk's values (pin.get() is the typed start), or null while
+    // not cached.  Changed only with the store's mutex_ held as well.
+    std::shared_ptr<const void> pin;
+    std::atomic<std::uint64_t> tick{0};  // clock_ at the last use
+    bool loading = false;                // claimed by a loader; mutex_
   };
 
-  // All return with the chunk pinned by the caller-held shared_ptr.
-  const Chunk& load_chunk_locked(std::size_t attr, std::size_t c) const;
+  /// The chunk's values, pinned; loads it on a miss.
+  std::shared_ptr<const void> chunk(std::size_t attr, std::size_t c) const;
+  /// The slot's pin (null when not cached), stamped when present.
+  std::shared_ptr<const void> cached(Slot& slot) const;
+  /// pread + range check + CRC of one chunk, without touching the cache.
+  std::shared_ptr<const void> read_chunk(std::size_t attr,
+                                         std::size_t c) const;
+  std::size_t chunk_bytes(std::size_t attr, std::size_t c) const noexcept;
+  void touch(Slot& slot) const noexcept;
   template <class T>
   ColumnBlockView<T> block(std::size_t attr, ItemRange range) const;
 
@@ -274,9 +307,13 @@ class ChunkedStore final : public ColumnStore,
   std::unique_ptr<format::PacbLayout> layout_;
   std::size_t budget_bytes_ = 0;
 
-  mutable std::mutex mutex_;
-  mutable std::unordered_map<std::size_t, Chunk> cache_;  // attr*chunks + c
-  mutable std::list<std::size_t> lru_;                    // front = hottest
+  mutable std::vector<Slot> slots_;
+  // Recency clock: advanced by every load, read by every hit.
+  mutable std::atomic<std::uint64_t> clock_{0};
+
+  mutable std::mutex mutex_;             // guards everything below
+  mutable std::condition_variable loaded_;  // a claim was released
+  mutable std::vector<std::size_t> cached_;  // slots with a published pin
   mutable std::size_t cached_bytes_ = 0;
   mutable std::size_t loads_ = 0;
 };

@@ -1,18 +1,23 @@
 // Tests for the .pacb binary columnar format and the ColumnStore backends:
-// exact round trips across every term-family column type, corruption and
-// truncation rejection with chunk/column attribution, chunked-vs-resident
-// block equality under eviction, and open_dataset sniffing.
+// the sliced CRC-32 against a bytewise reference, exact round trips across
+// every term-family column type, corruption and truncation rejection with
+// chunk/column attribution, chunked-vs-resident block equality under
+// eviction (from one thread and from several at once), single-flight chunk
+// loads, and open_dataset sniffing.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <latch>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/format.hpp"
@@ -56,27 +61,81 @@ Dataset mixed_dataset(std::size_t n) {
   return table;
 }
 
+/// Whether two datasets' views of column `attr` over `range` hold the same
+/// bytes (memcmp, not ==: NaN must match bit for bit too).
+bool same_block(const Dataset& a, const Dataset& b, std::size_t attr,
+                ItemRange range) {
+  const auto same = [](const auto& va, const auto& vb) {
+    return va.size() == vb.size() &&
+           std::memcmp(va.data(), vb.data(),
+                       va.size() * sizeof(*va.data())) == 0;
+  };
+  if (a.schema().at(attr).kind == AttributeKind::kReal)
+    return same(a.real_block(attr, range), b.real_block(attr, range));
+  return same(a.discrete_block(attr, range), b.discrete_block(attr, range));
+}
+
 void expect_identical(const Dataset& a, const Dataset& b) {
   ASSERT_EQ(a.num_items(), b.num_items());
   ASSERT_EQ(a.num_attributes(), b.num_attributes());
   const ItemRange all{0, a.num_items()};
-  for (std::size_t attr = 0; attr < a.num_attributes(); ++attr) {
-    if (a.schema().at(attr).kind == AttributeKind::kReal) {
-      const auto va = a.real_block(attr, all);
-      const auto vb = b.real_block(attr, all);
-      // memcmp, not ==: NaN (missing) must round-trip bit for bit too.
-      EXPECT_EQ(std::memcmp(va.data(), vb.data(),
-                            va.size() * sizeof(double)),
-                0)
-          << "real column " << attr;
-    } else {
-      const auto va = a.discrete_block(attr, all);
-      const auto vb = b.discrete_block(attr, all);
-      EXPECT_EQ(std::memcmp(va.data(), vb.data(),
-                            va.size() * sizeof(std::int32_t)),
-                0)
-          << "discrete column " << attr;
-    }
+  for (std::size_t attr = 0; attr < a.num_attributes(); ++attr)
+    EXPECT_TRUE(same_block(a, b, attr, all)) << "column " << attr;
+}
+
+/// Flip one bit of the byte at `offset` of the file at `path`.
+void flip_byte(const std::string& path, std::uint64_t offset) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(static_cast<std::streamoff>(offset));
+  char byte = 0;
+  f.read(&byte, 1);
+  f.seekp(-1, std::ios::cur);
+  byte = static_cast<char>(byte ^ 0x40);
+  f.write(&byte, 1);
+}
+
+/// The bytewise CRC-32 definition (reflected 0xEDB88320), the reference the
+/// sliced implementation must match value for value.
+std::uint32_t crc32_bytewise(const unsigned char* p, std::size_t size,
+                             std::uint32_t seed) {
+  std::uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k)
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, StandardCheckValue) {
+  const char* check = "123456789";
+  EXPECT_EQ(format::crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(format::crc32(check, 0), 0u);
+  // Chained updates equal one pass, across the 8-byte stride too.
+  EXPECT_EQ(format::crc32(check + 5, 4, format::crc32(check, 5)),
+            0xCBF43926u);
+}
+
+TEST(Crc32, MatchesBytewiseReference) {
+  Xoshiro256ss rng(0xC3C);
+  std::vector<unsigned char> bytes(70 * 1024 + 8);
+  for (unsigned char& b : bytes)
+    b = static_cast<unsigned char>(uniform_index(rng, 256));
+  // Every short length at every alignment: the 8-byte body, the bytewise
+  // tail and unaligned loads all get exercised.
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 100; ++len)
+      ASSERT_EQ(format::crc32(bytes.data() + offset, len),
+                crc32_bytewise(bytes.data() + offset, len, 0))
+          << "offset " << offset << " length " << len;
+  // Long random lengths with non-zero seeds (chained updates).
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t offset = uniform_index(rng, 8);
+    const std::size_t len = uniform_index(rng, 70 * 1024 + 1);
+    const auto seed = static_cast<std::uint32_t>(uniform_index(rng, 1u << 31));
+    ASSERT_EQ(format::crc32(bytes.data() + offset, len, seed),
+              crc32_bytewise(bytes.data() + offset, len, seed))
+        << "offset " << offset << " length " << len << " seed " << seed;
   }
 }
 
@@ -190,16 +249,7 @@ TEST(PacbFormat, CorruptChunkNamesChunkAndColumn) {
   // Flip one byte inside chunk 2's segment for column 4 ('c0').
   const format::PacbLayout layout = format::read_layout(path);
   const std::size_t target_chunk = 2, target_column = 4;
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(static_cast<std::streamoff>(
-        layout.column_data_offset(target_chunk, target_column) + 5));
-    char byte = 0;
-    f.read(&byte, 1);
-    f.seekp(-1, std::ios::cur);
-    byte = static_cast<char>(byte ^ 0x40);
-    f.write(&byte, 1);
-  }
+  flip_byte(path, layout.column_data_offset(target_chunk, target_column) + 5);
 
   // The resident one-shot reader verifies every CRC up front.
   EXPECT_THROW(format::read_pacb_file(path), format::FormatError);
@@ -232,24 +282,9 @@ TEST(ChunkedStore, BlocksMatchResidentIncludingStraddlesAndEviction) {
   const std::size_t n = original.num_items();
   for (std::size_t begin = 0; begin < n; begin += 256) {
     const ItemRange range{begin, std::min(begin + 256, n)};
-    for (std::size_t a = 0; a < original.num_attributes(); ++a) {
-      if (original.schema().at(a).kind == AttributeKind::kReal) {
-        const auto r = original.real_block(a, range);
-        const auto c = chunked.real_block(a, range);
-        ASSERT_EQ(r.size(), c.size());
-        EXPECT_EQ(std::memcmp(r.data(), c.data(), r.size() * sizeof(double)),
-                  0)
-            << "attr " << a << " block at " << begin;
-      } else {
-        const auto r = original.discrete_block(a, range);
-        const auto c = chunked.discrete_block(a, range);
-        ASSERT_EQ(r.size(), c.size());
-        EXPECT_EQ(
-            std::memcmp(r.data(), c.data(), r.size() * sizeof(std::int32_t)),
-            0)
-            << "attr " << a << " block at " << begin;
-      }
-    }
+    for (std::size_t a = 0; a < original.num_attributes(); ++a)
+      EXPECT_TRUE(same_block(original, chunked, a, range))
+          << "attr " << a << " block at " << begin;
   }
   // Scalar access agrees too (EM init paths touch single items).
   for (std::size_t i = 0; i < n; i += 97) {
@@ -264,6 +299,133 @@ TEST(ChunkedStore, BlocksMatchResidentIncludingStraddlesAndEviction) {
   EXPECT_GT(store->chunk_loads(), distinct)
       << "budget never forced an eviction";
   EXPECT_LE(store->cached_bytes(), std::size_t{4096} + 37 * sizeof(double));
+  std::remove(path.c_str());
+}
+
+TEST(ChunkedStore, ConcurrentReadersMatchResident) {
+  const Dataset original = mixed_dataset(3000);
+  const std::string path = temp_path("conc") + ".pacb";
+  // 100-row chunks: every 256-item block straddles a chunk border.
+  constexpr std::size_t kChunkRows = 100;
+  format::write_pacb_file(path, original, kChunkRows);
+  // A budget of about two real chunks forces constant eviction while four
+  // threads read at once.
+  constexpr std::size_t kChunkBytes = kChunkRows * sizeof(double);
+  constexpr std::size_t kBudget = 2 * kChunkBytes;
+  constexpr std::size_t kThreads = 4;
+  auto store = ChunkedStore::open(path, kBudget);
+  const Dataset chunked(store);
+
+  const std::size_t n = original.num_items();
+  const std::size_t blocks = (n + 255) / 256;
+  std::atomic<std::size_t> mismatches{0}, over_budget{0}, views{0};
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      // Each thread starts at its own block and wraps around, so threads
+      // both share chunks and evict each other's.
+      for (std::size_t i = 0; i < blocks; ++i) {
+        const std::size_t begin = ((i + t * blocks / kThreads) % blocks) * 256;
+        const ItemRange range{begin, std::min(begin + 256, n)};
+        for (std::size_t a = 0; a < original.num_attributes(); ++a) {
+          if (!same_block(original, chunked, a, range)) ++mismatches;
+          ++views;
+          if (store->cached_bytes() > kBudget + kThreads * kChunkBytes)
+            ++over_budget;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(views.load(), kThreads * blocks * original.num_attributes());
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(over_budget.load(), 0u)
+      << "cache outgrew the budget plus one chunk per loader";
+  EXPECT_GT(store->chunk_loads(),
+            store->num_chunks() * original.num_attributes())
+      << "budget never forced an eviction";
+  std::remove(path.c_str());
+}
+
+TEST(ChunkedStore, SingleFlightLoadsAColdChunkOnce) {
+  const Dataset original = mixed_dataset(1000);
+  const std::string path = temp_path("flight") + ".pacb";
+  format::write_pacb_file(path, original, /*chunk_rows=*/256);
+  auto store = ChunkedStore::open(path, /*budget_bytes=*/1 << 20);
+  const Dataset chunked(store);
+  EXPECT_NO_THROW(chunked.real_block(0, ItemRange{0, 256}));  // warm chunk 0
+
+  constexpr std::size_t kThreads = 8;
+  const std::size_t before = store->chunk_loads();
+  std::atomic<std::size_t> mismatches{0};
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const ItemRange range{512 + t, 512 + t + 64};  // all in cold chunk 2
+      start.arrive_and_wait();
+      const auto c = chunked.real_block(4, range);
+      const auto r = original.real_block(4, range);
+      if (std::memcmp(r.data(), c.data(), r.size() * sizeof(double)) != 0)
+        ++mismatches;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(store->chunk_loads(), before + 1)
+      << "concurrent requesters of one cold chunk must share one load";
+  EXPECT_EQ(mismatches.load(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(ChunkedStore, CorruptChunkFailsEveryConcurrentReader) {
+  const Dataset original = mixed_dataset(400);
+  const std::string path = temp_path("ccrc") + ".pacb";
+  format::write_pacb_file(path, original, /*chunk_rows=*/64);
+  const format::PacbLayout layout = format::read_layout(path);
+  const std::size_t target_chunk = 2, target_column = 4;
+  flip_byte(path, layout.column_data_offset(target_chunk, target_column) + 9);
+
+  const Dataset chunked(ChunkedStore::open(path, /*budget_bytes=*/1 << 20));
+  const auto names_the_rot = [&](const format::FormatError& e) {
+    return e.chunk() == static_cast<std::ptrdiff_t>(target_chunk) &&
+           e.column() == static_cast<std::ptrdiff_t>(target_column) &&
+           std::string(e.what()).find("c0") != std::string::npos;
+  };
+  constexpr std::size_t kThreads = 6;
+  std::atomic<std::size_t> named{0}, other{0};
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Some requests sit inside the chunk, some straddle into it.
+      const ItemRange range = t % 2 == 0 ? ItemRange{130 + t, 180}
+                                         : ItemRange{100 + t, 150};
+      start.arrive_and_wait();
+      try {
+        chunked.real_block(target_column, range);
+        ++other;
+      } catch (const format::FormatError& e) {
+        if (names_the_rot(e)) ++named; else ++other;
+      } catch (...) {
+        ++other;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(named.load(), kThreads);
+  EXPECT_EQ(other.load(), 0u);
+
+  // Nothing stays claimed: a later request retries and fails the same way,
+  // and clean chunks still load.
+  try {
+    chunked.real_block(target_column, ItemRange{128, 192});
+    FAIL() << "corrupt chunk load did not throw on retry";
+  } catch (const format::FormatError& e) {
+    EXPECT_TRUE(names_the_rot(e)) << e.what();
+  }
+  EXPECT_NO_THROW(chunked.real_block(target_column, ItemRange{0, 128}));
   std::remove(path.c_str());
 }
 

@@ -20,20 +20,22 @@
 namespace pac {
 namespace {
 
-/// Write the standard synthetic dataset to a .pacb with deliberately odd,
-/// small chunks (so 256-item kernel blocks straddle chunk borders) and hand
-/// back resident and chunked views of the same bytes.  The ~4 KB budget
-/// holds about one chunk, forcing eviction throughout every E-step.
+/// Write the standard synthetic dataset to a .pacb and hand back resident
+/// and chunked views of the same bytes.  The default chunks are deliberately
+/// odd and smaller than a 256-item kernel block, so blocks straddle chunk
+/// borders.  The ~4 KB budget holds about one chunk, forcing eviction
+/// throughout every E-step.
 struct BackendPair {
   std::string path;
   data::Dataset resident;
   data::Dataset chunked;
 
-  explicit BackendPair(std::size_t n, std::uint64_t seed)
+  BackendPair(std::size_t n, std::uint64_t seed, std::uint32_t chunk_rows = 193)
       : path("/tmp/pac_ooc_" + std::to_string(::getpid()) + "_" +
-             std::to_string(seed) + ".pacb"),
+             std::to_string(seed) + "_" + std::to_string(chunk_rows) +
+             ".pacb"),
         resident(data::paper_dataset(n, seed).dataset) {
-    data::format::write_pacb_file(path, resident, /*chunk_rows=*/193);
+    data::format::write_pacb_file(path, resident, chunk_rows);
     chunked = data::Dataset(data::ChunkedStore::open(path,
                                                      /*budget_bytes=*/4096));
   }
@@ -75,43 +77,60 @@ void expect_same_trajectory(const std::vector<double>& a,
       << label << ": chunked backend diverged from resident";
 }
 
+/// Chunk geometries for the bit-identity suites.  193 rows is smaller than
+/// one block, so the EM threads claim single blocks; 1000 rows gives runs of
+/// 3 blocks that straddle chunk borders, 1024 aligned runs of 4.
+constexpr std::uint32_t kGeometries[] = {193, 1000, 1024};
+
 TEST(OutOfCore, EmTrajectoryBitIdenticalAcrossThreadCounts) {
-  const BackendPair pair(1500, 51);
-  for (const int threads : {1, 2, 4}) {
-    SCOPED_TRACE(threads);
-    const std::vector<double> res = em_trajectory(pair.resident, threads, 4);
-    const std::vector<double> chk = em_trajectory(pair.chunked, threads, 4);
-    expect_same_trajectory(res, chk, "threads");
-    // And the thread count itself must not matter (the existing invariant,
-    // re-pinned on the chunked backend).
-    expect_same_trajectory(chk, em_trajectory(pair.chunked, 1, 4),
-                           "threads-vs-1");
+  for (const std::uint32_t chunk_rows : kGeometries) {
+    SCOPED_TRACE(chunk_rows);
+    // 6000 items = 24 blocks, so every thread count gets whole runs.
+    const BackendPair pair(chunk_rows == 193 ? 1500 : 6000, 51, chunk_rows);
+    const std::vector<double> single = em_trajectory(pair.chunked, 1, 4);
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(threads);
+      const std::vector<double> res =
+          em_trajectory(pair.resident, threads, 4);
+      const std::vector<double> chk = em_trajectory(pair.chunked, threads, 4);
+      expect_same_trajectory(res, chk, "threads");
+      // And the thread count itself must not matter (the existing
+      // invariant, re-pinned on the chunked backend).
+      expect_same_trajectory(chk, single, "threads-vs-1");
+    }
   }
 }
 
 TEST(OutOfCore, SearchResultIdenticalAcrossBackends) {
-  const BackendPair pair(1200, 52);
-  ac::SearchConfig config;
-  config.start_j_list = {3, 5};
-  config.max_tries = 2;
-  config.em.max_cycles = 20;
-  const ac::SearchResult res =
-      ac::sequential_search(ac::Model::default_model(pair.resident), config);
-  const ac::SearchResult chk =
-      ac::sequential_search(ac::Model::default_model(pair.chunked), config);
-  ASSERT_EQ(res.best.size(), chk.best.size());
-  for (std::size_t b = 0; b < res.best.size(); ++b) {
-    const ac::Classification& rc = res.best[b].classification;
-    const ac::Classification& cc = chk.best[b].classification;
-    EXPECT_EQ(std::memcmp(&rc.cs_score, &cc.cs_score, sizeof(double)), 0);
-    EXPECT_EQ(std::memcmp(&rc.log_likelihood, &cc.log_likelihood,
-                          sizeof(double)),
-              0);
-    ASSERT_EQ(rc.all_params().size(), cc.all_params().size());
-    EXPECT_EQ(std::memcmp(rc.all_params().data(), cc.all_params().data(),
-                          rc.all_params().size() * sizeof(double)),
-              0)
-        << "leaderboard entry " << b;
+  for (const std::uint32_t chunk_rows : kGeometries) {
+    SCOPED_TRACE(chunk_rows);
+    const BackendPair pair(chunk_rows == 193 ? 1200 : 5000, 52, chunk_rows);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(threads);
+      ac::SearchConfig config;
+      config.start_j_list = {3, 5};
+      config.max_tries = 2;
+      config.em.max_cycles = 20;
+      config.em.threads = threads;
+      const ac::SearchResult res = ac::sequential_search(
+          ac::Model::default_model(pair.resident), config);
+      const ac::SearchResult chk = ac::sequential_search(
+          ac::Model::default_model(pair.chunked), config);
+      ASSERT_EQ(res.best.size(), chk.best.size());
+      for (std::size_t b = 0; b < res.best.size(); ++b) {
+        const ac::Classification& rc = res.best[b].classification;
+        const ac::Classification& cc = chk.best[b].classification;
+        EXPECT_EQ(std::memcmp(&rc.cs_score, &cc.cs_score, sizeof(double)), 0);
+        EXPECT_EQ(std::memcmp(&rc.log_likelihood, &cc.log_likelihood,
+                              sizeof(double)),
+                  0);
+        ASSERT_EQ(rc.all_params().size(), cc.all_params().size());
+        EXPECT_EQ(std::memcmp(rc.all_params().data(), cc.all_params().data(),
+                              rc.all_params().size() * sizeof(double)),
+                  0)
+            << "leaderboard entry " << b;
+      }
+    }
   }
 }
 
