@@ -88,23 +88,11 @@ void BM_Cholesky(benchmark::State& state) {
 }
 BENCHMARK(BM_Cholesky)->Arg(2)->Arg(8)->Arg(32);
 
-void BM_NormalLogProb(benchmark::State& state) {
-  const data::LabeledDataset ld = data::paper_dataset(10000, 5);
-  const ac::Model model = ac::Model::default_model(ld.dataset);
-  const std::vector<double> params = {0.0, 1.0, 0.0};
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.term(0).log_prob(i, params));
-    i = (i + 1) % 10000;
-  }
-}
-BENCHMARK(BM_NormalLogProb);
+// ---- E-step kernel benches: vector lanes vs the portable kernel bodies ----
 
-// ---- E-step kernel benches: batched update_wts vs the scalar oracle ----
-
-/// Gaussian-heavy workload for the headline kernel-vs-scalar comparison:
-/// 8 real attributes x 8 classes is 64 per-item log_prob evaluations per
-/// E-step pass, the regime the batched term kernels were built for.
+/// Gaussian-heavy workload for the headline E-step comparison: 8 real
+/// attributes x 8 classes is 64 per-item log-probabilities per E-step
+/// pass, the regime the batched term kernels were built for.
 data::LabeledDataset gaussian_heavy_dataset(std::size_t n) {
   constexpr std::size_t kDim = 8;
   std::vector<data::GaussianComponent> mix(4);
@@ -122,15 +110,13 @@ data::LabeledDataset gaussian_heavy_dataset(std::size_t n) {
   return ld;
 }
 
-/// One full E-step per iteration from a fixed post-M-step state.  `scalar`
-/// selects the per-item reference path instead of the batch kernels;
-/// `level` pins the SIMD dispatch for the whole measurement so the legacy
-/// benches keep scalar-batch-kernel semantics on vector-capable hosts and
-/// the *Simd variants measure the vector tier (clamped to what the host
-/// supports, so they degenerate to the scalar numbers on scalar-only CPUs).
+/// One full E-step per iteration from a fixed post-M-step state.  `level`
+/// pins the SIMD dispatch for the whole measurement, so the plain benches
+/// time the portable kernel bodies on vector-capable hosts and the *Simd
+/// variants the vector lanes (clamped to what the host supports, so they
+/// degenerate to the portable numbers on scalar-only CPUs).
 void run_update_wts(benchmark::State& state, const ac::Model& model,
-                    std::size_t j, bool scalar,
-                    simd::Level level = simd::Level::kScalar) {
+                    std::size_t j, simd::Level level = simd::Level::kScalar) {
   const simd::ScopedForceLevel pin(level);
   const std::size_t n = model.dataset().num_items();
   ac::Reducer identity;
@@ -138,31 +124,21 @@ void run_update_wts(benchmark::State& state, const ac::Model& model,
   ac::Classification c(model, j);
   worker.random_init(c, 7, 0, ac::EmConfig{});
   worker.update_parameters(c);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(scalar ? worker.update_wts_scalar(c)
-                                    : worker.update_wts(c));
+  for (auto _ : state) benchmark::DoNotOptimize(worker.update_wts(c));
   state.SetItemsProcessed(state.iterations() * n * j);
 }
 
 void BM_UpdateWtsGaussian(benchmark::State& state) {
   const data::LabeledDataset ld = gaussian_heavy_dataset(4000);
-  run_update_wts(state, ac::Model::default_model(ld.dataset), 8, false);
+  run_update_wts(state, ac::Model::default_model(ld.dataset), 8);
 }
 BENCHMARK(BM_UpdateWtsGaussian);
-
-void BM_UpdateWtsScalarGaussian(benchmark::State& state) {
-  // The oracle on the identical workload: the kernel acceptance bar is
-  // BM_UpdateWtsGaussian at >= 2x this throughput.
-  const data::LabeledDataset ld = gaussian_heavy_dataset(4000);
-  run_update_wts(state, ac::Model::default_model(ld.dataset), 8, true);
-}
-BENCHMARK(BM_UpdateWtsScalarGaussian);
 
 void BM_UpdateWtsGaussianSimd(benchmark::State& state) {
   // The vectorized E-step on the headline workload; bit-identical results
   // to BM_UpdateWtsGaussian, measured at the host's best dispatch level.
   const data::LabeledDataset ld = gaussian_heavy_dataset(4000);
-  run_update_wts(state, ac::Model::default_model(ld.dataset), 8, false,
+  run_update_wts(state, ac::Model::default_model(ld.dataset), 8,
                  simd::Level::kAvx2);
 }
 BENCHMARK(BM_UpdateWtsGaussianSimd);
@@ -179,7 +155,7 @@ void BM_UpdateWtsMultinomial(benchmark::State& state) {
   }
   data::LabeledDataset ld = data::categorical_mixture(mix, 4000, 19);
   data::inject_missing(ld.dataset, 0.02, 5);
-  run_update_wts(state, ac::Model::default_model(ld.dataset), 4, false);
+  run_update_wts(state, ac::Model::default_model(ld.dataset), 4);
 }
 BENCHMARK(BM_UpdateWtsMultinomial);
 
@@ -197,7 +173,7 @@ void BM_UpdateWtsMultiNormal(benchmark::State& state) {
   }
   // No missing values: the multi_normal term requires complete rows.
   const data::LabeledDataset ld = data::correlated_mixture(mix, 4000, 21);
-  run_update_wts(state, ac::Model::correlated_model(ld.dataset), 4, false);
+  run_update_wts(state, ac::Model::correlated_model(ld.dataset), 4);
 }
 BENCHMARK(BM_UpdateWtsMultiNormal);
 
@@ -215,7 +191,7 @@ void BM_UpdateWtsMultiNormalSimd(benchmark::State& state) {
     }
   }
   const data::LabeledDataset ld = data::correlated_mixture(mix, 4000, 21);
-  run_update_wts(state, ac::Model::correlated_model(ld.dataset), 4, false,
+  run_update_wts(state, ac::Model::correlated_model(ld.dataset), 4,
                  simd::Level::kAvx2);
 }
 BENCHMARK(BM_UpdateWtsMultiNormalSimd);
@@ -232,7 +208,7 @@ void BM_UpdateWtsLognormal(benchmark::State& state) {
   }
   const ac::Model model(d, {{ac::TermKind::kSingleLognormal, {0}},
                             {ac::TermKind::kSingleLognormal, {1}}});
-  run_update_wts(state, model, 4, false);
+  run_update_wts(state, model, 4);
 }
 BENCHMARK(BM_UpdateWtsLognormal);
 
@@ -249,7 +225,7 @@ void BM_UpdateWtsMultinomialSimd(benchmark::State& state) {
   }
   data::LabeledDataset ld = data::categorical_mixture(mix, 4000, 19);
   data::inject_missing(ld.dataset, 0.02, 5);
-  run_update_wts(state, ac::Model::default_model(ld.dataset), 4, false,
+  run_update_wts(state, ac::Model::default_model(ld.dataset), 4,
                  simd::Level::kAvx2);
 }
 BENCHMARK(BM_UpdateWtsMultinomialSimd);
@@ -270,7 +246,7 @@ void BM_UpdateWtsMixed(benchmark::State& state) {
   const ac::Model model(ld.dataset, {{ac::TermKind::kSingleNormal, {0}},
                                      {ac::TermKind::kIgnore, {1}},
                                      {ac::TermKind::kSingleMultinomial, {2}}});
-  run_update_wts(state, model, 4, false);
+  run_update_wts(state, model, 4);
 }
 BENCHMARK(BM_UpdateWtsMixed);
 
@@ -498,44 +474,37 @@ bool check_scratch_fold_path() {
   return true;
 }
 
-/// Smoke-tier correctness gate for the batched E-step: update_wts and the
-/// scalar oracle must produce bit-identical weights and log-likelihood on
-/// the same workload the headline bench measures.
-bool check_estep_kernel_equality() {
-  const data::LabeledDataset ld = gaussian_heavy_dataset(1000);
-  const ac::Model model = ac::Model::default_model(ld.dataset);
-  ac::Reducer ra, rb;
-  ac::EmWorker a(model, data::ItemRange{0, 1000}, ra);
-  ac::EmWorker b(model, data::ItemRange{0, 1000}, rb);
-  ac::Classification ca(model, 6), cb(model, 6);
-  a.random_init(ca, 9, 0, ac::EmConfig{});
-  b.random_init(cb, 9, 0, ac::EmConfig{});
-  a.update_parameters(ca);
-  b.update_parameters(cb);
-  const double la = a.update_wts(ca);
-  const double lb = b.update_wts_scalar(cb);
-  const auto wa = a.local_weights();
-  const auto wb = b.local_weights();
-  if (la != lb || wa.size() != wb.size() ||
-      std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(double)) != 0) {
-    std::fprintf(stderr,
-                 "micro_kernels: E-step kernel-vs-scalar equality FAILED\n");
-    return false;
+/// The runs of one smoke gate, required memcmp-equal to the first run.
+bool all_bit_equal(const std::vector<std::vector<double>>& runs,
+                   const char* what) {
+  for (std::size_t v = 1; v < runs.size(); ++v) {
+    if (runs[v].size() != runs[0].size() ||
+        std::memcmp(runs[v].data(), runs[0].data(),
+                    runs[0].size() * sizeof(double)) != 0) {
+      std::fprintf(stderr,
+                   "micro_kernels: %s level/thread equality FAILED (%zu)\n",
+                   what, v);
+      return false;
+    }
   }
   return true;
 }
 
-/// Smoke-tier correctness gate for the batched M-step: the statistics and
-/// parameters must be bit-identical at 1 thread on the vector lanes, at 1
-/// thread forced to the portable folds, and through the pool.
-bool check_mstep_kernel_equality() {
+/// Smoke-tier correctness gates for the batched M- and E-steps, on the
+/// workload the headline benches measure: one M-step then one E-step on the
+/// vector lanes at 1 thread, on the portable kernel bodies at 1 thread, and
+/// on the vector lanes through the pool.  The statistics and parameters,
+/// then the weights and log-likelihood, must be bit-identical in all three.
+/// On scalar-only hosts the vector variants clamp to the portable bodies
+/// and the gates still check the pool.
+bool check_em_kernel_equality() {
   const data::LabeledDataset ld = gaussian_heavy_dataset(1000);
   const ac::Model model = ac::Model::default_model(ld.dataset);
-  std::vector<std::vector<double>> stats, params;
   struct Variant {
     pac::simd::Level level;
     int threads;
   };
+  std::vector<std::vector<double>> mstep, estep;
   for (const Variant v : {Variant{pac::simd::Level::kAvx2, 1},
                           Variant{pac::simd::Level::kScalar, 1},
                           Variant{pac::simd::Level::kAvx2, 4}}) {
@@ -548,55 +517,15 @@ bool check_mstep_kernel_equality() {
     worker.random_init(c, 9, 0, config);
     worker.update_parameters(c);
     const auto s = worker.statistics();
-    stats.emplace_back(s.begin(), s.end());
     const auto p = c.all_params();
-    params.emplace_back(p.begin(), p.end());
-  }
-  for (std::size_t v = 1; v < stats.size(); ++v) {
-    if (stats[v].size() != stats[0].size() ||
-        std::memcmp(stats[v].data(), stats[0].data(),
-                    stats[0].size() * sizeof(double)) != 0 ||
-        params[v].size() != params[0].size() ||
-        std::memcmp(params[v].data(), params[0].data(),
-                    params[0].size() * sizeof(double)) != 0) {
-      std::fprintf(stderr,
-                   "micro_kernels: M-step level/thread equality FAILED (%zu)\n",
-                   v);
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Smoke-tier correctness gate for the SIMD tier: the E-step under the
-/// host's best dispatch level must be bit-identical to the forced-scalar
-/// batch kernels on the bench workload.  Degenerates to a self-comparison
-/// on scalar-only hosts (still exercises the dispatch plumbing).
-bool check_simd_kernel_equality() {
-  const data::LabeledDataset ld = gaussian_heavy_dataset(1000);
-  const ac::Model model = ac::Model::default_model(ld.dataset);
-  std::vector<std::vector<double>> weights;
-  std::vector<double> loglikes;
-  for (const pac::simd::Level level :
-       {pac::simd::Level::kAvx2, pac::simd::Level::kScalar}) {
-    const pac::simd::ScopedForceLevel pin(level);
-    ac::Reducer identity;
-    ac::EmWorker worker(model, data::ItemRange{0, 1000}, identity);
-    ac::Classification c(model, 6);
-    worker.random_init(c, 9, 0, ac::EmConfig{});
-    worker.update_parameters(c);
-    loglikes.push_back(worker.update_wts(c));
+    mstep.emplace_back(s.begin(), s.end());
+    mstep.back().insert(mstep.back().end(), p.begin(), p.end());
+    const double loglike = worker.update_wts(c);
     const auto w = worker.local_weights();
-    weights.emplace_back(w.begin(), w.end());
+    estep.emplace_back(w.begin(), w.end());
+    estep.back().push_back(loglike);
   }
-  if (loglikes[0] != loglikes[1] || weights[0].size() != weights[1].size() ||
-      std::memcmp(weights[0].data(), weights[1].data(),
-                  weights[0].size() * sizeof(double)) != 0) {
-    std::fprintf(stderr,
-                 "micro_kernels: SIMD-vs-scalar E-step equality FAILED\n");
-    return false;
-  }
-  return true;
+  return all_bit_equal(mstep, "M-step") && all_bit_equal(estep, "E-step");
 }
 
 }  // namespace
@@ -630,7 +559,7 @@ int main(int argc, char** argv) {
   // The project's own build flavor (context.library_build_type describes
   // the google-benchmark library, not this code).  bench_diff.py matches
   // candidate and baseline on this key: debug and release runs have very
-  // different kernel-vs-oracle ratios.
+  // different vector-over-portable ratios.
 #ifdef NDEBUG
   benchmark::AddCustomContext("pac_build", "release");
 #else
@@ -638,9 +567,7 @@ int main(int argc, char** argv) {
 #endif
   std::fprintf(stderr, "micro_kernels: %s\n", pac::simd::describe());
   if (smoke && !check_scratch_fold_path()) return 1;
-  if (smoke && !check_estep_kernel_equality()) return 1;
-  if (smoke && !check_mstep_kernel_equality()) return 1;
-  if (smoke && !check_simd_kernel_equality()) return 1;
+  if (smoke && !check_em_kernel_equality()) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

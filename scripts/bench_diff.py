@@ -16,7 +16,7 @@ below the baseline speedup for the same pair.
 The tolerance is deliberately loose: smoke-tier measurements use
 ``--benchmark_min_time=0.01`` and run on shared, noisy CI hardware.  The
 gate is meant to catch structural regressions (a kernel silently falling
-back to the scalar path, an accidental O(n) -> O(n^2) edit), not
+back to the portable path, an accidental O(n) -> O(n^2) edit), not
 single-digit-percent drift.  Tighten locally with ``--tolerance 0.1``
 when measuring on quiet hardware.
 
@@ -40,8 +40,9 @@ import sys
 # A pair is skipped (with a note) when either side is missing from both
 # reports being compared -- older baselines predate the *Simd variants.
 PAIRS = [
-    ("estep-batch-kernel", "BM_UpdateWtsScalarGaussian", "BM_UpdateWtsGaussian"),
-    ("estep-simd", "BM_UpdateWtsScalarGaussian", "BM_UpdateWtsGaussianSimd"),
+    # E-step (update_wts) on the vector lanes vs the same E-step pinned to
+    # the portable kernel bodies: a kernel that falls back to the portable
+    # path drops this to about 1x.
     ("estep-simd-over-batch", "BM_UpdateWtsGaussian", "BM_UpdateWtsGaussianSimd"),
     ("estep-simd-multinormal", "BM_UpdateWtsMultiNormal", "BM_UpdateWtsMultiNormalSimd"),
     # Row normalizer (simd::normalize_rows, J=8, one 256-row block): the
@@ -131,7 +132,7 @@ def newest_baseline(build_type, candidate_times=None):
     zero pairs in common with the candidate and dead-end the gate.
     Selection order: baselines sharing at least one complete PAIR with the
     candidate, then those recorded at the same build type (debug and
-    release runs have very different kernel-vs-oracle ratios), then the
+    release runs have very different vector-over-portable ratios), then the
     lexicographically newest."""
     files = sorted(BASELINE_DIR.glob("BENCH_*.json"))
     if not files:
@@ -197,7 +198,7 @@ def compare(candidate, baseline, tolerance):
 def self_test(baseline_times, tolerance):
     """The gate must pass on an identical report and fail on a synthetic
     regression (one kernel bench slowed 3x, as if it fell back to the
-    scalar path)."""
+    portable path)."""
     print("self-test: identical candidate (must pass)")
     if compare(dict(baseline_times), baseline_times, tolerance) != 0:
         print("bench_diff: self-test FAILED: identical report flagged")

@@ -98,7 +98,7 @@ if ! "$BUILD_DIR"/bench/micro_kernels $SMOKE \
 else
   # Ratio-based regression gate against the committed baseline snapshot.
   # Skipped under --simd off (forced-scalar speedups are trivially 1x) and
-  # for sanitizer builds (instrumentation distorts kernel-vs-oracle
+  # for sanitizer builds (instrumentation distorts vector-over-portable
   # ratios); the dedicated CI perf job is the authoritative gate.
   case "$SIMD,${PAC_CMAKE_ARGS:-}" in
     off,*|*sanitize*)

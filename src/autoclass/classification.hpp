@@ -91,9 +91,8 @@ class Classification {
 /// dataset.  Term-major: every row is seeded with the log mixing weights,
 /// then each (term, class) log_prob_batch kernel accumulates one class
 /// column across the whole block.  Per item this adds log pi first and
-/// then the terms in index order — the scalar log_prob oracle's order, so
-/// the values are bit-identical to it.  The E-step, the reports and
-/// prediction all fill through this one function.
+/// then the terms in index order.  The E-step, the reports and prediction
+/// all fill through this one function, so they agree bit for bit.
 void fill_log_joint(const Classification& c, data::ItemRange block,
                     double* rows);
 

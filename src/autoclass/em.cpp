@@ -154,30 +154,50 @@ void EmWorker::random_init(Classification& c, std::uint64_t seed,
   // item is (softly) assigned to its nearest seed.  Seeds are drawn from the
   // *global* index space and distances are pure functions of item pairs, so
   // the initial weights are identical for every partitioning of the data.
-  // (On a real multicomputer the seed rows would be broadcast; reading them
-  // from the read-only dataset is semantically equivalent.)
   const CounterRng rng(seed);
   const std::size_t n = data_->num_items();
   const std::vector<std::size_t> seeds =
       detail::draw_seed_items(rng, n, j, try_index);
+
+  // The seed table: row k holds seed k's values of every term's covered
+  // attributes, in term order, missing values kept and discrete symbols
+  // stored exactly as doubles.  It is gathered once, before the scan, so
+  // the scan reads only this rank's partition.  (On a real multicomputer
+  // each seed's owner rank would read its row and broadcast it; every rank
+  // here gathers the rows from the dataset it already has open.)
+  const std::size_t width = model_->covered_attributes();
+  std::vector<double> seed_table(j * width);
+  double* cell = seed_table.data();
+  for (std::size_t k = 0; k < j; ++k)
+    for (std::size_t t = 0; t < model_->num_terms(); ++t)
+      for (const std::size_t a : model_->term(t).spec().attributes)
+        *cell++ = data_->schema().at(a).kind == data::AttributeKind::kReal
+                      ? data_->real_value(seeds[k], a)
+                      : static_cast<double>(data_->discrete_value(seeds[k], a));
 
   // Blocked nearest-seed assignment: per block, each (term, seed) pair
   // accumulates one distance column across the whole item block — the same
   // column-major kernel shape as the E-step, fed by per-block column views
   // on either storage backend.  Per (item, seed) the additions happen in
   // term order from 0.0 and the strict < argmin keeps the first minimum, so
-  // the assignment is bit-identical to a per-item scalar loop — and, like
-  // the E-step, a pure function of kEStepBlock, never of the thread count.
+  // the assignment is a pure function of the two rows and, like the
+  // E-step, of kEStepBlock, never of the thread count.
   const std::size_t blocks = block_count(range_.begin, range_.end);
   std::vector<std::exception_ptr> block_error(blocks);
   run_blocks(blocks, [&](std::size_t b) {
     const data::ItemRange block = block_range(range_.begin, range_.end, b);
     try {
       std::vector<double> dist(block.size() * j, 0.0);
-      for (std::size_t k = 0; k < j; ++k)
-        for (std::size_t t = 0; t < model_->num_terms(); ++t)
-          model_->term(t).seed_distance_batch(block, seeds[k],
-                                              dist.data() + k, j);
+      for (std::size_t k = 0; k < j; ++k) {
+        const double* seed_row = seed_table.data() + k * width;
+        for (std::size_t t = 0; t < model_->num_terms(); ++t) {
+          const Term& term = model_->term(t);
+          term.seed_distance_batch(
+              block, std::span<const double>(seed_row, term.num_attributes()),
+              dist.data() + k, j);
+          seed_row += term.num_attributes();
+        }
+      }
       for (std::size_t r = 0; r < block.size(); ++r) {
         const double* row_dist = dist.data() + r * j;
         std::size_t home_class = 0;
@@ -242,30 +262,9 @@ DegenerateRowError degenerate_row_error(std::size_t item, const double* row,
 
 }  // namespace
 
-double EmWorker::finish_update_wts(Classification& c,
-                                   std::span<double> wj_and_loglike) {
-  const std::size_t j = c.num_classes();
-  reducer_->charge(PhaseWork{Phase::kUpdateWts, range_.size(), j,
-                             model_->covered_attributes()});
-  // Total exchange of the class weight sums and the log-likelihood
-  // (the Allreduce of paper Fig. 4).
-  reducer_->reduce_weights(wj_and_loglike);
-
-  std::copy_n(wj_and_loglike.begin(), j, c.mutable_weights().begin());
-  c.log_likelihood = wj_and_loglike[j];
-
-  if (!partition_params_) {
-    // WtsOnly baseline: every rank needs the whole weight matrix because it
-    // will recompute the parameters over the entire dataset.
-    reducer_->gather_weight_matrix(
-        std::span<const double>(weights_),
-        std::span<double>(full_weights_), range_, j);
-  }
-  return c.log_likelihood;
-}
-
-template <typename FillBlock>
-double EmWorker::update_wts_blocked(Classification& c, FillBlock&& fill) {
+double EmWorker::update_wts(Classification& c) {
+  PAC_TRACE_SCOPE(reducer_->recorder(), "em", "update_wts");
+  PAC_CHECK(&c.model() == model_);
   const std::size_t j = c.num_classes();
   PAC_CHECK_MSG(j == num_classes_, "call random_init before update_wts");
   const std::size_t blocks = block_count(range_.begin, range_.end);
@@ -280,7 +279,7 @@ double EmWorker::update_wts_blocked(Classification& c, FillBlock&& fill) {
     const data::ItemRange block = block_range(range_.begin, range_.end, b);
     double* rows = weights_.data() + (block.begin - range_.begin) * j;
     try {
-      fill(block, rows);
+      fill_log_joint(c, block, rows);
       double lse[kEStepBlock];
       const std::size_t bad = simd::normalize_rows(rows, block.size(), j, lse);
       if (bad < block.size())
@@ -308,33 +307,24 @@ double EmWorker::update_wts_blocked(Classification& c, FillBlock&& fill) {
     loglike.add(block_loglike[b].value());
   }
   wj_and_loglike[j] = loglike.value();
-  return finish_update_wts(c, std::span<double>(wj_and_loglike));
-}
 
-double EmWorker::update_wts(Classification& c) {
-  PAC_TRACE_SCOPE(reducer_->recorder(), "em", "update_wts");
-  PAC_CHECK(&c.model() == model_);
-  return update_wts_blocked(c, [&](data::ItemRange block, double* rows) {
-    fill_log_joint(c, block, rows);
-  });
-}
+  reducer_->charge(PhaseWork{Phase::kUpdateWts, range_.size(), j,
+                             model_->covered_attributes()});
+  // Total exchange of the class weight sums and the log-likelihood
+  // (the Allreduce of paper Fig. 4).
+  reducer_->reduce_weights(std::span<double>(wj_and_loglike));
 
-double EmWorker::update_wts_scalar(Classification& c) {
-  PAC_TRACE_SCOPE(reducer_->recorder(), "em", "update_wts_scalar");
-  const std::size_t num_terms = model_->num_terms();
-  const std::size_t j = c.num_classes();
-  return update_wts_blocked(c, [&](data::ItemRange block, double* rows) {
-    // log L_ij = log pi_j + sum_t log p(x_i | theta_jt), per item.
-    for (std::size_t i = block.begin; i < block.end; ++i) {
-      double* row = rows + (i - block.begin) * j;
-      for (std::size_t k = 0; k < j; ++k) {
-        double lp = c.log_pi(k);
-        for (std::size_t t = 0; t < num_terms; ++t)
-          lp += model_->term(t).log_prob(i, c.param_block(k, t));
-        row[k] = lp;
-      }
-    }
-  });
+  std::copy_n(wj_and_loglike.begin(), j, c.mutable_weights().begin());
+  c.log_likelihood = wj_and_loglike[j];
+
+  if (!partition_params_) {
+    // WtsOnly baseline: every rank needs the whole weight matrix because it
+    // will recompute the parameters over the entire dataset.
+    reducer_->gather_weight_matrix(
+        std::span<const double>(weights_),
+        std::span<double>(full_weights_), range_, j);
+  }
+  return c.log_likelihood;
 }
 
 void EmWorker::accumulate_statistics(const Classification& c) {

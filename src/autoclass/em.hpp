@@ -203,25 +203,17 @@ class EmWorker {
   /// E-step over the local partition; fills the local weight matrix, the
   /// global class weights W_j, and the global observed log-likelihood
   /// (returned and stored in c.log_likelihood).  `c` must be bound to this
-  /// worker's model.  Fills each block through fill_log_joint (the
-  /// term-major batch kernels the reports and prediction share); per item
-  /// the accumulation order is log pi_j then terms in index order — the
-  /// same as update_wts_scalar, so both paths are bit-identical on every
-  /// transport backend.  Blocks are work-shared across the configured
-  /// thread pool and the per-block (W_j, log-likelihood) partials are
-  /// folded in block-index order, so every result is a pure function of
-  /// the block size — bit-identical across thread counts.  Throws
-  /// DegenerateRowError if any item's row is -inf under every class (the
-  /// lowest-indexed offending block wins, whatever thread found it).
+  /// worker's model.  Per kEStepBlock block: fill_log_joint (the term-major
+  /// batch kernels the reports and prediction share; per item log pi_j,
+  /// then the terms in index order), simd::normalize_rows, and the block's
+  /// (W_j, log-likelihood) partials.  Blocks are work-shared across the
+  /// configured thread pool and the partials are folded in block-index
+  /// order, so every result is a pure function of the block size —
+  /// bit-identical across thread counts, SIMD levels and transport
+  /// backends.  Throws DegenerateRowError if any item's row has no finite
+  /// maximum (the lowest-indexed offending block wins, whatever thread
+  /// found it).
   double update_wts(Classification& c);
-
-  /// Reference E-step: the per-item virtual log_prob chain the batch
-  /// kernels replaced, run through the identical blocked reduction
-  /// structure (per-block partials, block-ordered fold).  Kept as the
-  /// oracle the kernel-equality tests and BM_UpdateWts benches diff
-  /// against; identical reduction protocol and results (bit-for-bit) as
-  /// update_wts.
-  double update_wts_scalar(Classification& c);
 
   /// M-step: accumulate local statistics — blocked, (class, term)-major
   /// over the membership matrix via Term::accumulate_batch (each call one
@@ -256,17 +248,6 @@ class EmWorker {
   /// partials folded in block-index order, so the result is invariant in
   /// the thread count.
   void accumulate_statistics(const Classification& c);
-  /// Shared E-step scaffolding: block the partition, run `fill` per block
-  /// (work-shared), normalize each block's rows with simd::normalize_rows
-  /// (throwing DegenerateRowError for the first degenerate row), fold the
-  /// lse values and weights into per-block partials, fold those in block
-  /// order, and finish.  Both update_wts paths run this identical tail,
-  /// which is what keeps them bit-identical.
-  template <typename FillBlock>
-  double update_wts_blocked(Classification& c, FillBlock&& fill);
-  /// Common epilogue of both E-step paths: charge, reduce, store results.
-  double finish_update_wts(Classification& c,
-                           std::span<double> wj_and_loglike);
   /// Run fn(b) for every block index in [0, blocks): through the pool, in
   /// chunk-aligned runs of blocks, when one is configured; inline
   /// otherwise.  fn must not throw.

@@ -18,12 +18,6 @@ const char* to_string(TermKind kind) noexcept {
   return "?";
 }
 
-void Term::seed_distance_batch(data::ItemRange range, std::size_t seed_item,
-                               double* out, std::size_t stride) const {
-  for (std::size_t i = range.begin; i < range.end; ++i, out += stride)
-    *out += seed_distance(i, seed_item);
-}
-
 Model::Model(const data::Dataset& data, std::vector<TermSpec> specs,
              ModelConfig config)
     : data_(&data), config_(config) {

@@ -78,50 +78,44 @@ class Term {
   /// Free continuous parameters per class (for BIC-style penalties).
   std::size_t free_params() const noexcept { return free_params_; }
 
-  /// E-step: log p(item's covered attributes | params); missing values
-  /// contribute nothing (or an extra symbol, per ModelConfig).
-  virtual double log_prob(std::size_t item,
-                          std::span<const double> params) const = 0;
-
   /// Batched E-step kernel: for every item i in `range`, *accumulate* this
-  /// term's log-probability under `params` into out[(i - range.begin) *
-  /// stride].  With `out` pointing at one class's column of a row-major
-  /// item x class buffer and `stride` = J, one call fills that column for a
-  /// whole item block.
+  /// term's log p(item's covered attributes | params) into
+  /// out[(i - range.begin) * stride]; missing values contribute nothing (or
+  /// an extra symbol, per ModelConfig).  With `out` pointing at one class's
+  /// column of a row-major item x class buffer and `stride` = J, one call
+  /// fills that column for a whole item block.
   ///
-  /// Contract: the value added per item must be bit-identical to
-  /// log_prob(item, params).  Overrides may hoist loop-invariant work out of
-  /// the item loop — parameter loads, logs of per-term constants, the
-  /// virtual dispatch itself — but must not rearrange the per-item floating
-  /// point expression.  The scalar log_prob stays the oracle the equality
-  /// tests diff against.
+  /// Contract: the value added per item is the family's per-item
+  /// expression, the same at every position in the range and at every
+  /// SIMD level.  Overrides hoist loop-invariant work out of the item loop
+  /// (parameter loads, logs of per-term constants, the block fetch) and run
+  /// an elementwise util/simd.hpp kernel, whose vector lanes and portable
+  /// body perform the same operations per item.  So the value of item i
+  /// equals that of the one-item range {i, i+1}, which the tests use as
+  /// their per-item reference.
   virtual void log_prob_batch(data::ItemRange range,
                               std::span<const double> params, double* out,
                               std::size_t stride) const = 0;
 
-  /// M-step accumulation: absorb `item` with membership weight `w`.
-  virtual void accumulate(std::size_t item, double w,
-                          std::span<double> stats) const = 0;
-
   /// Batched M-step kernel: absorb every item i in `range` with membership
-  /// weight weights[(i - range.begin) * stride] into `stats`.  With
-  /// `weights` pointing at one class's column of the row-major item x class
-  /// membership matrix and `stride` = J, one call folds that class's share
-  /// of a whole item block into the class's statistics.
+  /// weight weights[(i - range.begin) * stride] into `stats`; items with
+  /// w <= 0 are skipped.  With `weights` pointing at one class's column of
+  /// the row-major item x class membership matrix and `stride` = J, one
+  /// call folds that class's share of a whole item block into the class's
+  /// statistics.
   ///
-  /// Contract: the result must be bit-identical to a reference built out
-  /// of accumulate(item, w, stats), with items of w <= 0 skipped, in the
-  /// family's pinned association.  The moment families (normal, log-normal,
-  /// multi normal) use the 4-lane association of util/simd.hpp: over the
-  /// range's full groups of four, item q (counted from range.begin) goes to
-  /// lane q % 4 of four zeroed stat buffers; the lanes combine slot by slot
-  /// as ((l0+l1)+l2)+l3; the tail items fold into the combined buffer in
-  /// item order; finally stats += combined.  The multinomial bincount folds
-  /// straight into `stats` in item order (a slot takes at most one addition
-  /// per item), and ignore has no slots.  The association is fixed by
-  /// contract, never by the instruction set, so the fold is identical
-  /// across SIMD levels, thread counts and transports; the tests build the
-  /// reference out of the scalar accumulate and diff with memcmp.
+  /// Contract: the fold runs in the family's pinned association.  The
+  /// moment families (normal, log-normal, multi normal) use the 4-lane
+  /// association of util/simd.hpp: over the range's full groups of four,
+  /// item q (counted from range.begin) goes to lane q % 4 of four zeroed
+  /// stat buffers; the lanes combine slot by slot as ((l0+l1)+l2)+l3; the
+  /// tail items fold into the combined buffer in item order; finally
+  /// stats += combined.  The multinomial bincount folds straight into
+  /// `stats` in item order (a slot takes at most one addition per item),
+  /// and ignore has no slots.  The association is fixed by contract, never
+  /// by the instruction set, so the fold is identical across SIMD levels,
+  /// thread counts and transports; the tests build the reference out of
+  /// one-item calls and diff with memcmp.
   virtual void accumulate_batch(data::ItemRange range, const double* weights,
                                 std::size_t stride,
                                 std::span<double> stats) const = 0;
@@ -146,31 +140,25 @@ class Term {
   /// Human-readable one-line parameter summary for reports.
   virtual std::string describe(std::span<const double> params) const = 0;
 
-  /// Normalized dissimilarity between two items over this term's
-  /// attributes, used by seed-item initialization (reals: squared z-score
-  /// distance; discretes: 0/1 mismatch; missing values count as half a
-  /// mismatch).  Pure function of the two items — partition-invariant.
-  virtual double seed_distance(std::size_t item,
-                               std::size_t seed_item) const = 0;
-
-  /// Batched seed-distance kernel: for every item i in `range`, *accumulate*
-  /// this term's seed_distance(i, seed_item) into
-  /// out[(i - range.begin) * stride].  Same column-of-a-row-major-buffer
-  /// calling convention as log_prob_batch (stride = number of seeds).
-  ///
-  /// Contract: the value added per item must be bit-identical to
-  /// seed_distance(item, seed_item).  Overrides may hoist the seed item's
-  /// values and the column fetch out of the loop but must not rearrange the
-  /// per-item floating-point expression.  The default loops over
-  /// seed_distance.
+  /// Batched seed-distance kernel of seed-item initialization: for every
+  /// item i in `range`, *accumulate* the normalized dissimilarity between
+  /// item i and a seed row over this term's attributes into
+  /// out[(i - range.begin) * stride] (reals: squared z-score distance;
+  /// discretes: 0/1 mismatch; a missing value on either side counts as
+  /// half a mismatch).  `seed` holds the seed row's values of the covered
+  /// attributes in spec().attributes order — missing values stay missing,
+  /// discrete symbols are stored exactly as doubles — so the kernel reads
+  /// no row outside `range`.  Same column-of-a-row-major-buffer calling
+  /// convention as log_prob_batch (stride = number of seeds).  A pure
+  /// function of the two rows, so partition-invariant.
   virtual void seed_distance_batch(data::ItemRange range,
-                                   std::size_t seed_item, double* out,
-                                   std::size_t stride) const;
+                                   std::span<const double> seed, double* out,
+                                   std::size_t stride) const = 0;
 
   /// Clone this term with its column spans repointed at `target` (a dataset
   /// with the training schema), keeping every trained prior and hoisted
-  /// constant byte-identical.  log_prob and log_prob_batch on the clone
-  /// therefore produce bit-identical values to the training-bound term
+  /// constant byte-identical.  log_prob_batch on the clone therefore
+  /// produces bit-identical values to the training-bound term
   /// evaluated on equal data — this is how prediction on foreign rows
   /// (ac::predict, and pac_serve through it) runs the same batched kernels
   /// as the E-step.  Throws pac::Error if `target` violates a family

@@ -29,9 +29,9 @@
 
 namespace pac::ac::detail {
 
-// The SIMD multinomial kernel treats every negative symbol as missing; the
-// scalar path compares against this exact sentinel, so the two only agree
-// because it is the sole negative value a validated column can hold.
+// The multinomial kernels treat every negative symbol as missing, which is
+// right only because this is the sole negative value a validated column
+// can hold.
 static_assert(data::kMissingDiscrete == -1);
 
 namespace {
@@ -66,48 +66,14 @@ class SingleNormalTerm final : public Term {
     name_ = attr.name;
   }
 
-  double log_prob(std::size_t item,
-                  std::span<const double> params) const override {
-    const double x = value(item);
-    if (data::is_missing_real(x)) return 0.0;
-    const double z = (x - params[0]) / params[1];
-    return -0.5 * (kLog2Pi + z * z) - params[2] + std::log(error_);
-  }
-
   void log_prob_batch(data::ItemRange range, std::span<const double> params,
                       double* out, std::size_t stride) const override {
-    // Hoisted per class-column: the parameter loads, log(error_) — the
-    // scalar path pays that transcendental per item — and the block fetch.
-    // The per-item expression is log_prob's, unchanged, so the column stays
-    // bit-identical on either storage backend.
-    const double mean = params[0];
-    const double sigma = params[1];
-    const double log_sigma = params[2];
-    const double log_error = std::log(error_);
+    // Hoisted per class-column: the parameter loads, log(error_) and the
+    // block fetch; the per-item expression is the kernel's, on either
+    // storage backend.
     const auto view = block(range);
-    const double* x = view.data();
-    if (simd::active()) {
-      simd::gaussian_log_prob(x, view.size(), mean, sigma, log_sigma,
-                              log_error, out, stride);
-      return;
-    }
-    for (std::size_t r = 0; r < view.size(); ++r, out += stride) {
-      double lp = 0.0;
-      if (!data::is_missing_real(x[r])) {
-        const double z = (x[r] - mean) / sigma;
-        lp = -0.5 * (kLog2Pi + z * z) - log_sigma + log_error;
-      }
-      *out += lp;
-    }
-  }
-
-  void accumulate(std::size_t item, double w,
-                  std::span<double> stats) const override {
-    const double x = value(item);
-    if (data::is_missing_real(x)) return;
-    stats[0] += w;
-    stats[1] += w * x;
-    stats[2] += w * x * x;
+    simd::gaussian_log_prob(view.data(), view.size(), params[0], params[1],
+                            params[2], std::log(error_), out, stride);
   }
 
   void accumulate_batch(data::ItemRange range, const double* weights,
@@ -185,18 +151,10 @@ class SingleNormalTerm final : public Term {
     return os.str();
   }
 
-  double seed_distance(std::size_t item, std::size_t seed_item) const override {
-    const double a = value(item);
-    const double b = value(seed_item);
-    if (data::is_missing_real(a) || data::is_missing_real(b)) return 0.5;
-    return sq(a - b) / prior_var_;
-  }
-
-  void seed_distance_batch(data::ItemRange range, std::size_t seed_item,
-                           double* out, std::size_t stride) const override {
-    // Hoists the seed value and the block fetch; the per-item expression is
-    // seed_distance's, so the column stays bit-identical.
-    const double b = value(seed_item);
+  void seed_distance_batch(data::ItemRange range,
+                           std::span<const double> seed, double* out,
+                           std::size_t stride) const override {
+    const double b = seed[0];
     const auto view = block(range);
     const double* x = view.data();
     for (std::size_t r = 0; r < view.size(); ++r, out += stride)
@@ -207,8 +165,8 @@ class SingleNormalTerm final : public Term {
 
   std::unique_ptr<Term> rebind(const data::Dataset& target) const override {
     // Copy keeps the trained priors (error_, prior_*, strengths); only the
-    // data binding moves, so log_prob on the clone is the same expression
-    // over the same constants.
+    // data binding moves, so log_prob_batch on the clone is the same
+    // expression over the same constants.
     auto clone = std::make_unique<SingleNormalTerm>(*this);
     clone->data_ = &target;
     clone->column_ = target.resident()
@@ -225,11 +183,6 @@ class SingleNormalTerm final : public Term {
       return data::ColumnBlockView<double>(column_.data() + range.begin,
                                            range.size());
     return data_->real_block(spec_.attributes[0], range);
-  }
-
-  double value(std::size_t item) const {
-    return column_.empty() ? data_->real_value(item, spec_.attributes[0])
-                           : column_[item];
   }
 
   const data::Dataset* data_ = nullptr;
@@ -284,15 +237,6 @@ class SingleMultinomialTerm final : public Term {
     name_ = attr.name;
   }
 
-  double log_prob(std::size_t item,
-                  std::span<const double> params) const override {
-    const std::int32_t v = value(item);
-    if (v == data::kMissingDiscrete) {
-      return missing_as_value_ ? params[num_values_ - 1] : 0.0;
-    }
-    return params[static_cast<std::size_t>(v)];
-  }
-
   void log_prob_batch(data::ItemRange range, std::span<const double> params,
                       double* out, std::size_t stride) const override {
     // The class's params block *is* the log-probability lookup table; the
@@ -301,26 +245,8 @@ class SingleMultinomialTerm final : public Term {
     const double missing_lp =
         missing_as_value_ ? params[num_values_ - 1] : 0.0;
     const auto view = block(range);
-    const std::int32_t* v = view.data();
-    if (simd::active()) {
-      simd::multinomial_log_prob(v, view.size(), params.data(), missing_lp,
-                                 out, stride);
-      return;
-    }
-    for (std::size_t r = 0; r < view.size(); ++r, out += stride)
-      *out += v[r] == data::kMissingDiscrete
-                  ? missing_lp
-                  : params[static_cast<std::size_t>(v[r])];
-  }
-
-  void accumulate(std::size_t item, double w,
-                  std::span<double> stats) const override {
-    const std::int32_t v = value(item);
-    if (v == data::kMissingDiscrete) {
-      if (missing_as_value_) stats[num_values_ - 1] += w;
-      return;
-    }
-    stats[static_cast<std::size_t>(v)] += w;
+    simd::multinomial_log_prob(view.data(), view.size(), params.data(),
+                               missing_lp, out, stride);
   }
 
   void accumulate_batch(data::ItemRange range, const double* weights,
@@ -328,8 +254,7 @@ class SingleMultinomialTerm final : public Term {
                         std::span<double> stats) const override {
     // A weighted bincount over the same symbol indices the param table
     // uses, with the missing policy and the counts pointer hoisted out of
-    // the item loop.  Each count slot receives accumulate's additions in
-    // item order.
+    // the item loop.  Each count slot receives its additions in item order.
     const auto view = block(range);
     const std::int32_t* v = view.data();
     double* counts = stats.data();
@@ -394,16 +319,11 @@ class SingleMultinomialTerm final : public Term {
     return os.str();
   }
 
-  double seed_distance(std::size_t item, std::size_t seed_item) const override {
-    const std::int32_t a = value(item);
-    const std::int32_t b = value(seed_item);
-    if (a == data::kMissingDiscrete || b == data::kMissingDiscrete) return 0.5;
-    return a == b ? 0.0 : 1.0;
-  }
-
-  void seed_distance_batch(data::ItemRange range, std::size_t seed_item,
-                           double* out, std::size_t stride) const override {
-    const std::int32_t b = value(seed_item);
+  void seed_distance_batch(data::ItemRange range,
+                           std::span<const double> seed, double* out,
+                           std::size_t stride) const override {
+    // The seed table stores the symbol exactly as a double.
+    const auto b = static_cast<std::int32_t>(seed[0]);
     const auto view = block(range);
     const std::int32_t* v = view.data();
     for (std::size_t r = 0; r < view.size(); ++r, out += stride) {
@@ -432,11 +352,6 @@ class SingleMultinomialTerm final : public Term {
       return data::ColumnBlockView<std::int32_t>(column_.data() + range.begin,
                                                  range.size());
     return data_->discrete_block(spec_.attributes[0], range);
-  }
-
-  std::int32_t value(std::size_t item) const {
-    return column_.empty() ? data_->discrete_value(item, spec_.attributes[0])
-                           : column_[item];
   }
 
   const data::Dataset* data_ = nullptr;
@@ -486,6 +401,12 @@ class MultiNormalTerm final : public Term {
       log_error_sum += std::log(attr.rel_error);
       names_.push_back(attr.name);
     }
+    // The kernels keep a block's per-item vectors in fixed-size arrays.
+    PAC_REQUIRE_MSG(d <= kMaxDim, "multi_normal " << block_name() << " has "
+                                                  << d
+                                                  << " attributes, over the "
+                                                  << kMaxDim
+                                                  << "-attribute limit");
     dim_ = d;
     log_error_sum_ = log_error_sum;
     mean_strength_ = config.mean_strength;
@@ -497,65 +418,16 @@ class MultiNormalTerm final : public Term {
     free_params_ = d + d * (d + 1) / 2;
   }
 
-  double log_prob(std::size_t item,
-                  std::span<const double> params) const override {
-    const std::size_t d = dim_;
-    double diff_stack[32];
-    PAC_CHECK(d <= 32);
-    std::span<double> diff(diff_stack, d);
-    for (std::size_t k = 0; k < d; ++k)
-      diff[k] = value(k, item) - params[k];
-    const std::span<const double> chol(params.data() + d, d * d);
-    const double logdet = params[d + d * d];
-    const double maha = spd::mahalanobis2(chol, d, diff);
-    return -0.5 * (static_cast<double>(d) * kLog2Pi + logdet + maha) +
-           log_error_sum_;
-  }
-
   void log_prob_batch(data::ItemRange range, std::span<const double> params,
                       double* out, std::size_t stride) const override {
     // The Cholesky factor lives in the params block (computed once per
-    // M-step by update_params); hoist the factor/log-det loads and reuse
-    // them across the whole block.
-    const std::size_t d = dim_;
-    double diff_stack[32];
-    PAC_CHECK(d <= 32);
-    std::span<double> diff(diff_stack, d);
-    const std::span<const double> chol(params.data() + d, d * d);
-    const double logdet = params[d + d * d];
-    const double dd = static_cast<double>(d);
-    data::ColumnBlockView<double> views[32];
-    const double* cols[32];
+    // M-step by update_params); the kernel hoists the factor/log-det loads
+    // and reuses them across the whole block.
+    data::ColumnBlockView<double> views[kMaxDim];
+    const double* cols[kMaxDim];
     fetch_blocks(range, views, cols);
-    const std::size_t n = range.size();
-    if (simd::active()) {
-      // Per-block base pointers with i0 = 0 read the exact addresses the
-      // whole-column call would; the kernel's lane structure depends only
-      // on the in-block index, so the output is unchanged.
-      simd::multinormal_log_prob(cols, d, 0, n, params.data(),
-                                 log_error_sum_, out, stride);
-      return;
-    }
-    for (std::size_t r = 0; r < n; ++r, out += stride) {
-      for (std::size_t k = 0; k < d; ++k) diff[k] = cols[k][r] - params[k];
-      const double maha = spd::mahalanobis2(chol, d, diff);
-      *out += -0.5 * (dd * kLog2Pi + logdet + maha) + log_error_sum_;
-    }
-  }
-
-  void accumulate(std::size_t item, double w,
-                  std::span<double> stats) const override {
-    const std::size_t d = dim_;
-    double xs[32];
-    PAC_CHECK(d <= 32);
-    for (std::size_t k = 0; k < d; ++k) xs[k] = value(k, item);
-    stats[0] += w;
-    for (std::size_t k = 0; k < d; ++k) {
-      const double xk = xs[k];
-      stats[1 + k] += w * xk;
-      for (std::size_t l = 0; l <= k; ++l)
-        stats[1 + d + k * d + l] += w * xk * xs[l];
-    }
+    simd::multinormal_log_prob(cols, dim_, 0, range.size(), params.data(),
+                               log_error_sum_, out, stride);
   }
 
   void accumulate_batch(data::ItemRange range, const double* weights,
@@ -563,13 +435,11 @@ class MultiNormalTerm final : public Term {
                         std::span<double> stats) const override {
     // The weighted outer-product fold in the pinned 4-lane association,
     // over raw column pointers hoisted out of the block views.
-    const std::size_t d = dim_;
-    PAC_CHECK(d <= 32);
-    data::ColumnBlockView<double> views[32];
-    const double* cols[32];
+    data::ColumnBlockView<double> views[kMaxDim];
+    const double* cols[kMaxDim];
     fetch_blocks(range, views, cols);
-    simd::multinormal_accumulate(cols, d, 0, range.size(), weights, stride,
-                                 stats.data());
+    simd::multinormal_accumulate(cols, dim_, 0, range.size(), weights,
+                                 stride, stats.data());
   }
 
   void update_params(std::span<const double> stats,
@@ -709,36 +579,23 @@ class MultiNormalTerm final : public Term {
 
   std::string describe(std::span<const double> params) const override {
     std::ostringstream os;
-    os << "block(";
-    for (std::size_t k = 0; k < dim_; ++k)
-      os << (k ? "," : "") << names_[k];
-    os << ") ~ MVN(mean=[";
+    os << block_name() << " ~ MVN(mean=[";
     for (std::size_t k = 0; k < dim_; ++k)
       os << (k ? "," : "") << params[k];
     os << "])";
     return os.str();
   }
 
-  double seed_distance(std::size_t item, std::size_t seed_item) const override {
-    double d2 = 0.0;
-    for (std::size_t k = 0; k < dim_; ++k)
-      d2 += sq(value(k, item) - value(k, seed_item)) / prior_var_[k];
-    return d2;
-  }
-
-  void seed_distance_batch(data::ItemRange range, std::size_t seed_item,
-                           double* out, std::size_t stride) const override {
-    const std::size_t d = dim_;
-    PAC_CHECK(d <= 32);
-    double seed_vals[32];
-    for (std::size_t k = 0; k < d; ++k) seed_vals[k] = value(k, seed_item);
-    data::ColumnBlockView<double> views[32];
-    const double* cols[32];
+  void seed_distance_batch(data::ItemRange range,
+                           std::span<const double> seed, double* out,
+                           std::size_t stride) const override {
+    data::ColumnBlockView<double> views[kMaxDim];
+    const double* cols[kMaxDim];
     fetch_blocks(range, views, cols);
     for (std::size_t r = 0; r < range.size(); ++r, out += stride) {
       double d2 = 0.0;
-      for (std::size_t k = 0; k < d; ++k)
-        d2 += sq(cols[k][r] - seed_vals[k]) / prior_var_[k];
+      for (std::size_t k = 0; k < dim_; ++k)
+        d2 += sq(cols[k][r] - seed[k]) / prior_var_[k];
       *out += d2;
     }
   }
@@ -761,6 +618,16 @@ class MultiNormalTerm final : public Term {
   }
 
  private:
+  static constexpr std::size_t kMaxDim = 32;
+
+  /// "block(a,b,...)" over the covered attribute names.
+  std::string block_name() const {
+    std::string s = "block(";
+    for (std::size_t k = 0; k < names_.size(); ++k)
+      s += (k ? "," : "") + names_[k];
+    return s + ")";
+  }
+
   /// Fill the block's d column windows: cols[k]'s element 0 is item
   /// range.begin; `views` owns any chunk pins for the duration of the call.
   void fetch_blocks(data::ItemRange range,
@@ -774,11 +641,6 @@ class MultiNormalTerm final : public Term {
         cols[k] = views[k].data();
       }
     }
-  }
-
-  double value(std::size_t k, std::size_t item) const {
-    return columns_.empty() ? data_->real_value(item, spec_.attributes[k])
-                            : columns_[k][item];
   }
 
   const data::Dataset* data_ = nullptr;
@@ -847,51 +709,18 @@ class SingleLognormalTerm final : public Term {
     name_ = attr.name;
   }
 
-  double log_prob(std::size_t item,
-                  std::span<const double> params) const override {
-    const double lx = log_value(item);
-    if (data::is_missing_real(lx)) return 0.0;
-    const double z = (lx - params[0]) / params[1];
-    // Density of x: N(log x | m, s) / x; relative-error correction.
-    return -0.5 * (kLog2Pi + z * z) - params[2] - lx + std::log(rel_error_);
-  }
-
   void log_prob_batch(data::ItemRange range, std::span<const double> params,
                       double* out, std::size_t stride) const override {
-    // Same hoists as the normal kernel (parameter loads, log(rel_error_));
+    // Density of x: N(log x | m, s) / x with the relative-error correction;
+    // same hoists as the normal kernel (parameter loads, log(rel_error_)).
     // log x is precomputed in log_column_ on the resident backend, or
     // recomputed into a per-call scratch block on the chunked one —
     // std::log is a pure function, so the two agree bit for bit.
-    const double mean = params[0];
-    const double sigma = params[1];
-    const double log_sigma = params[2];
-    const double log_error = std::log(rel_error_);
     double scratch[kScratchBlock];
     std::vector<double> heap;
     const double* lx = log_block(range, scratch, heap);
-    const std::size_t n = range.size();
-    if (simd::active()) {
-      simd::lognormal_log_prob(lx, n, mean, sigma, log_sigma, log_error, out,
-                               stride);
-      return;
-    }
-    for (std::size_t r = 0; r < n; ++r, out += stride) {
-      double lp = 0.0;
-      if (!data::is_missing_real(lx[r])) {
-        const double z = (lx[r] - mean) / sigma;
-        lp = -0.5 * (kLog2Pi + z * z) - log_sigma - lx[r] + log_error;
-      }
-      *out += lp;
-    }
-  }
-
-  void accumulate(std::size_t item, double w,
-                  std::span<double> stats) const override {
-    const double lx = log_value(item);
-    if (data::is_missing_real(lx)) return;
-    stats[0] += w;
-    stats[1] += w * lx;
-    stats[2] += w * lx * lx;
+    simd::lognormal_log_prob(lx, range.size(), params[0], params[1],
+                             params[2], std::log(rel_error_), out, stride);
   }
 
   void accumulate_batch(data::ItemRange range, const double* weights,
@@ -969,16 +798,12 @@ class SingleLognormalTerm final : public Term {
     return os.str();
   }
 
-  double seed_distance(std::size_t item, std::size_t seed_item) const override {
-    const double a = log_value(item);
-    const double b = log_value(seed_item);
-    if (data::is_missing_real(a) || data::is_missing_real(b)) return 0.5;
-    return sq(a - b) / prior_var_;
-  }
-
-  void seed_distance_batch(data::ItemRange range, std::size_t seed_item,
-                           double* out, std::size_t stride) const override {
-    const double b = log_value(seed_item);
+  void seed_distance_batch(data::ItemRange range,
+                           std::span<const double> seed, double* out,
+                           std::size_t stride) const override {
+    // The seed table holds raw x; log it exactly as log_column_ does.
+    const double b = data::is_missing_real(seed[0]) ? data::missing_real()
+                                                    : std::log(seed[0]);
     double scratch[kScratchBlock];
     std::vector<double> heap;
     const double* lx = log_block(range, scratch, heap);
@@ -1055,12 +880,6 @@ class SingleLognormalTerm final : public Term {
     return dst;
   }
 
-  double log_value(std::size_t item) const {
-    if (!log_column_.empty()) return log_column_[item];
-    const double v = data_->real_value(item, spec_.attributes[0]);
-    return data::is_missing_real(v) ? data::missing_real() : std::log(v);
-  }
-
   const data::Dataset* data_ = nullptr;
   /// Resident fast path; empty on the chunk-backed backend.
   std::vector<double> log_column_;
@@ -1089,20 +908,15 @@ class IgnoreTerm final : public Term {
     free_params_ = 0;
   }
 
-  double log_prob(std::size_t, std::span<const double>) const override {
-    return 0.0;
-  }
   // Genuinely add 0.0 per item rather than skipping the pass: += 0.0 turns
-  // a -0.0 accumulator into +0.0, so a no-op would not be bit-identical to
-  // the scalar chain on that (admittedly exotic) input.
+  // a -0.0 accumulator into +0.0, as every other family's kernel does on
+  // a missing value, so the log-joint rows never depend on the skip.
   void log_prob_batch(data::ItemRange range, std::span<const double>,
                       double* out, std::size_t stride) const override {
     for (std::size_t i = range.begin; i < range.end; ++i, out += stride)
       *out += 0.0;
   }
-  void accumulate(std::size_t, double, std::span<double>) const override {}
-  // Zero statistics slots: there is nothing to add, so (unlike
-  // log_prob_batch's += 0.0) a true no-op is already bit-identical.
+  // Zero statistics slots: there is nothing to add.
   void accumulate_batch(data::ItemRange, const double*, std::size_t,
                         std::span<double>) const override {}
   void update_params(std::span<const double>,
@@ -1116,9 +930,10 @@ class IgnoreTerm final : public Term {
   std::string describe(std::span<const double>) const override {
     return "(ignored)";
   }
-  double seed_distance(std::size_t, std::size_t) const override {
-    return 0.0;
-  }
+  // Distances start at +0.0 and only grow, so adding this term's zero
+  // would change no bit: a true no-op.
+  void seed_distance_batch(data::ItemRange, std::span<const double>, double*,
+                           std::size_t) const override {}
   std::unique_ptr<Term> rebind(const data::Dataset&) const override {
     return std::make_unique<IgnoreTerm>(*this);
   }

@@ -5,8 +5,8 @@
 // evaluates the wire-decoded query rows through ac::fill_log_joint — the
 // E-step's own kernelized log-joint fill.  A served response is therefore
 // the same computation as ac::predict_labels on equal rows, and
-// tests/test_serve.cpp diffs both against a per-item scalar
-// Term::log_prob reference.
+// tests/test_serve.cpp diffs both against a per-item reference built from
+// one-item log_prob_batch calls.
 //
 // Admission rules are derived ONCE from the model's term structure and
 // enforced per request at decode time (on the connection's reader thread),

@@ -1,11 +1,12 @@
 // Runtime dispatch plus the portable (and NEON) kernel implementations.
 //
-// The portable `*_log_prob` bodies are line-for-line the scalar batch loops
-// from terms.cpp, so a host with no vector unit — or a PAC_SIMD=0 run —
-// produces exactly the oracle's bits through this layer too.  The portable
-// M-step folds define the *reference association* (4 lanes, mod-4 item
-// assignment, ((l0+l1)+l2)+l3 combine, in-order tail) that the AVX2 TU must
-// reproduce bit-for-bit; keep the two in lockstep when editing either.
+// The portable bodies are the reference every vector level reproduces: a
+// host with no vector unit — or a PAC_SIMD=0 run — executes them, and the
+// AVX2 and NEON lanes perform the same operation sequence per item.  The
+// portable M-step folds define the *reference association* (4 lanes, mod-4
+// item assignment, ((l0+l1)+l2)+l3 combine, in-order tail) that the AVX2
+// TU must reproduce bit-for-bit; keep the two in lockstep when editing
+// either.
 #include "util/simd.hpp"
 
 #include <algorithm>
@@ -89,8 +90,6 @@ Level level() noexcept {
   return l;
 }
 
-bool active() noexcept { return level() != Level::kScalar; }
-
 const char* describe() noexcept {
   static thread_local char buf[128];
   static const Level env_level = compute_env_level();
@@ -115,7 +114,7 @@ ScopedForceLevel::~ScopedForceLevel() {
 }
 
 // ===========================================================================
-// Portable kernels (the scalar batch loops from terms.cpp, verbatim).
+// Portable kernels: the per-item reference expressions of the terms.
 // ===========================================================================
 
 namespace {
@@ -363,7 +362,7 @@ void multinormal_accumulate_portable(const double* const* cols,
 // NEON (aarch64): 2-lane elementwise kernels for the normal families.  The
 // table walk and the lane-wise solve gain little at 2 lanes, so they stay on
 // the portable loops.  Untunable here but kept intentionally simple: pure
-// elementwise IEEE ops, so lane outputs match the scalar oracle bitwise.
+// elementwise IEEE ops, so lane outputs match the portable bodies bitwise.
 // ---------------------------------------------------------------------------
 
 #if PAC_SIMD_HAVE_NEON

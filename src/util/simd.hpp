@@ -1,35 +1,34 @@
 // Runtime-dispatched SIMD layer for the batched E/M-step kernels.
 //
-// Two tiers (DESIGN.md §5), both exact and level-invariant:
+// One numeric tier (DESIGN.md §5), exact and level-invariant.  Every
+// kernel has a portable reference body in simd.cpp, which a PAC_SIMD=0 run
+// (or a host with no vector unit) executes, and explicit vector lanes over
+// the same operations for the levels that have them:
 //
-//   1. *Scalar oracle* — the per-item virtual chains (Term::log_prob,
-//      Term::accumulate) in terms.cpp.  Always available; the tests build
-//      every reference they diff against out of them.
-//   2. *Block kernels* — explicit vector lanes over the 256-item blocks,
-//      each with a portable reference body that a PAC_SIMD=0 run (or a host
-//      with no vector unit) executes instead:
-//        * the `*_log_prob` kernels and det_exp / det_log (which the row
-//          normalizer runs on) are *elementwise*: every lane performs the
-//          scalar reference's operation sequence on its own value, with
-//          IEEE add/sub/mul/div semantics, so each output double is
-//          memcmp-equal to the scalar path.  No FMA, no reassociation (the
-//          whole project builds with -ffp-contract=off so the scalar side
-//          cannot silently contract either).
-//        * the `*_accumulate` M-step moment folds are reductions in one
-//          pinned association: lane j sums the items with in-block index
-//          ≡ j (mod 4) below the last full group of four, lanes combine as
-//          ((l0+l1)+l2)+l3, then the tail items fold in item order.  The
-//          association is a constant of the *contract*, not of the
-//          instruction set, so the folds are memcmp-equal across
-//          AVX2/NEON/portable dispatch, thread counts and transports, and
-//          equal to the per-item accumulate chain run in that association.
+//   * the `*_log_prob` kernels and det_exp / det_log (which the row
+//     normalizer runs on) are *elementwise*: every lane performs the
+//     portable body's operation sequence on its own value, with IEEE
+//     add/sub/mul/div semantics, so each output double is memcmp-equal to
+//     the portable body's — and, since a one-item call runs the scalar
+//     tail, to a one-item call on the same value.  No FMA, no
+//     reassociation (the whole project builds with -ffp-contract=off so
+//     the portable side cannot silently contract either).
+//   * the `*_accumulate` M-step moment folds are reductions in one pinned
+//     association: lane j sums the items with in-block index ≡ j (mod 4)
+//     below the last full group of four, lanes combine as
+//     ((l0+l1)+l2)+l3, then the tail items fold in item order.  The
+//     association is a constant of the *contract*, not of the instruction
+//     set, so the folds are memcmp-equal across AVX2/NEON/portable
+//     dispatch, thread counts and transports, and equal to one-item folds
+//     run in that association.
 //
 // Dispatch: `level()` resolves once from the environment and the CPU —
 // AVX2 on x86-64 hosts that support it, NEON on aarch64, otherwise the
-// scalar tier.  `PAC_SIMD=0` (or "off"/"scalar") forces the scalar tier at
-// any build flags; building with -march=x86-64-v3 changes *codegen* but the
-// kernels dispatch the same way.  Tests and benches pin a tier with
-// ScopedForceLevel (clamped to what the host actually supports).
+// portable bodies (Level::kScalar).  `PAC_SIMD=0` (or "off"/"scalar")
+// forces the portable bodies at any build flags; building with
+// -march=x86-64-v3 changes *codegen* but the kernels dispatch the same
+// way.  Tests and benches pin a level with ScopedForceLevel (clamped to
+// what the host actually supports).
 #pragma once
 
 #include <cstddef>
@@ -52,9 +51,6 @@ Level detected_level() noexcept;
 /// disables it or a ScopedForceLevel override is active.  Resolved once
 /// (first call) and cached.
 Level level() noexcept;
-
-/// True when the vector kernels should run (level() != kScalar).
-bool active() noexcept;
 
 /// One-line human-readable dispatch summary for logs / --print-simd.
 const char* describe() noexcept;
@@ -86,10 +82,9 @@ class ScopedForceLevel {
 };
 
 // ---------------------------------------------------------------------------
-// Bit-identical E-step block kernels (default tier).  Every kernel
-// *accumulates* into out[(i) * stride] for i in [0, n), mirroring the
-// corresponding Term::log_prob_batch scalar loop operation for operation.
-// Callers only invoke these when active(); each dispatches on level().
+// Bit-identical E-step block kernels, the bodies of the Term::log_prob_batch
+// overrides.  Every kernel *accumulates* into out[(i) * stride] for i in
+// [0, n); each dispatches on level() and runs at any level.
 // ---------------------------------------------------------------------------
 
 /// lp = -0.5*(kLog2Pi + z*z) - log_sigma + log_error with z = (x-mean)/sigma;
@@ -120,7 +115,7 @@ void multinormal_log_prob(const double* const* cols, std::size_t d,
                           std::size_t stride) noexcept;
 
 // ---------------------------------------------------------------------------
-// Deterministic exp / log and the row normalizer (default tier).  libm-free:
+// Deterministic exp / log and the row normalizer.  libm-free:
 // a fixed operation sequence with no FMA, evaluated lane by lane, so the
 // output is memcmp-equal at every dispatch level and on every libm.  They
 // run at any level (the portable loop is the reference).

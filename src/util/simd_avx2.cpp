@@ -3,7 +3,7 @@
 // the runtime dispatch in simd.cpp, after __builtin_cpu_supports("avx2").
 //
 // Bit-identity discipline for the `*_log_prob` kernels: each 4-wide vector
-// op is the scalar oracle's op applied per lane — same operand order, same
+// op is the portable body's op applied per lane — same operand order, same
 // association, no FMA intrinsics, and the build keeps -ffp-contract=off so
 // the compiler cannot contract either side.  The `*_accumulate` M-step
 // folds instead reproduce the portable reference association in simd.cpp

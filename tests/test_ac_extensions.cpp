@@ -16,6 +16,7 @@
 #include "autoclass/report.hpp"
 #include "autoclass/search.hpp"
 #include "data/synth.hpp"
+#include "term_reference.hpp"
 #include "util/error.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
@@ -51,7 +52,7 @@ TEST(Lognormal, FitRecoversLogSpaceMoments) {
   const Term& term = model.term(0);
   std::vector<double> stats(term.stats_size(), 0.0);
   for (std::size_t i = 0; i < d.num_items(); ++i)
-    term.accumulate(i, 1.0, stats);
+    accumulate_one(term, i, 1.0, stats);
   std::vector<double> params(term.param_size(), 0.0);
   term.update_params(stats, params);
   EXPECT_NEAR(params[0], 1.5, 0.02);
@@ -63,7 +64,7 @@ TEST(Lognormal, DensityIntegratesToOne) {
   const Model model = lognormal_model(d);
   // p(x) = N(log x | m, s) / x, times rel_error; integrate over x > 0.
   const std::vector<double> params = {0.0, 0.5, std::log(0.5)};
-  // Each grid point is a row of a probe dataset; log_prob on the model
+  // Each grid point is a row of a probe dataset; the term of the model
   // rebound to it evaluates the density there.
   const double dx = 1e-3;
   std::vector<double> grid;
@@ -73,7 +74,7 @@ TEST(Lognormal, DensityIntegratesToOne) {
   const Model on_probe = model.rebound(probe);
   double integral = 0.0;
   for (std::size_t i = 0; i < grid.size(); ++i)
-    integral += std::exp(on_probe.term(0).log_prob(i, params)) * dx;
+    integral += std::exp(log_prob_one(on_probe.term(0), i, params)) * dx;
   EXPECT_NEAR(integral, 0.01, 1e-4);  // = rel_error
 }
 
@@ -94,13 +95,13 @@ TEST(Lognormal, LogLikelihoodOfStatsMatchesDirectSum) {
   std::vector<double> weights(100);
   for (std::size_t i = 0; i < 100; ++i) {
     weights[i] = 0.2 + 0.007 * static_cast<double>(i);
-    term.accumulate(i, weights[i], stats);
+    accumulate_one(term, i, weights[i], stats);
   }
   std::vector<double> params(term.param_size(), 0.0);
   term.update_params(stats, params);
   double direct = 0.0;
   for (std::size_t i = 0; i < 100; ++i)
-    direct += weights[i] * term.log_prob(i, params);
+    direct += weights[i] * log_prob_one(term, i, params);
   EXPECT_NEAR(term.log_likelihood_of_stats(stats, params), direct, 1e-8);
 }
 
@@ -109,7 +110,7 @@ TEST(Lognormal, HandlesMissingValues) {
   d.set_missing(7, 0);
   const Model model = lognormal_model(d);
   std::vector<double> params = {0.0, 0.3, std::log(0.3)};
-  EXPECT_EQ(model.term(0).log_prob(7, params), 0.0);
+  EXPECT_EQ(log_prob_one(model.term(0), 7, params), 0.0);
 }
 
 TEST(Lognormal, SeparatesScaleClusters) {
@@ -139,7 +140,7 @@ TEST(Lognormal, MarginalFiniteAndBelowMaxLikelihood) {
   const Model model = lognormal_model(d);
   const Term& term = model.term(0);
   std::vector<double> stats(term.stats_size(), 0.0);
-  for (std::size_t i = 0; i < 500; ++i) term.accumulate(i, 1.0, stats);
+  for (std::size_t i = 0; i < 500; ++i) accumulate_one(term, i, 1.0, stats);
   std::vector<double> params(term.param_size(), 0.0);
   term.update_params(stats, params);
   const double marginal = term.log_marginal(stats);
@@ -191,7 +192,7 @@ TEST(Ignore, ZeroFootprint) {
   EXPECT_EQ(ignore.param_size(), 0u);
   EXPECT_EQ(ignore.stats_size(), 0u);
   EXPECT_EQ(ignore.free_params(), 0u);
-  EXPECT_EQ(ignore.log_prob(0, {}), 0.0);
+  EXPECT_EQ(log_prob_one(ignore, 0, {}), 0.0);
   EXPECT_EQ(ignore.influence({}), 0.0);
   EXPECT_EQ(ignore.describe({}), "(ignored)");
 }

@@ -1,11 +1,12 @@
 // Kernel-layer tests: the batched Term::log_prob_batch E-step kernels must
-// be *bit-identical* to the per-item virtual log_prob chain, and the
-// Term::accumulate_batch M-step kernels to a reference built out of the
-// per-item accumulate in the family's pinned association, for every term
-// family, with and without missing values, at every SIMD level — the
-// determinism contract of DESIGN.md's kernel section.  The blocked EM
-// drivers must in turn be invariant in the thread count (EmConfig::threads
-// / PAC_EM_THREADS): per-block partials folded in block-index order make
+// be *bit-identical* over a block to one-item calls of the same kernel
+// (term_reference.hpp), and the Term::accumulate_batch M-step kernels to a
+// reference built out of one-item folds in the family's pinned
+// association, for every term family, with and without missing values, at
+// every SIMD level — the determinism contract of DESIGN.md's kernel
+// section.  The blocked EM drivers must match a per-item rebuild of their
+// contract and be invariant in the thread count (EmConfig::threads /
+// PAC_EM_THREADS): per-block partials folded in block-index order make
 // every trajectory a pure function of the block size.  Also covers the
 // degenerate-row guard and the seed-item draw fallback fix.
 #include <gtest/gtest.h>
@@ -23,7 +24,9 @@
 #include "autoclass/em.hpp"
 #include "autoclass/report.hpp"
 #include "data/synth.hpp"
+#include "term_reference.hpp"
 #include "util/error.hpp"
+#include "util/math.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
@@ -41,50 +44,67 @@ void expect_bit_identical(std::span<const double> a,
   ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
 }
 
-// ---- term-level: log_prob_batch vs the scalar log_prob oracle ----
+// ---- term-level: log_prob_batch over a block vs one item at a time ----
 
 /// Fit one class's parameters over the whole dataset (w = 1) so the batch
 /// kernels are exercised at realistic parameter values.
 std::vector<double> fit_term_params(const Term& term, std::size_t n) {
   std::vector<double> stats(term.stats_size(), 0.0);
-  for (std::size_t i = 0; i < n; ++i) term.accumulate(i, 1.0, stats);
+  for (std::size_t i = 0; i < n; ++i) accumulate_one(term, i, 1.0, stats);
   std::vector<double> params(term.param_size(), 0.0);
   term.update_params(stats, params);
   return params;
 }
 
 /// Batch accumulation into a non-trivial base row, at stride 1 and a
-/// strided layout, must match per-item scalar accumulation bit-for-bit.
-void expect_term_batch_matches_scalar(const Model& model) {
+/// strided layout, must match one-item calls bit-for-bit.  Appends every
+/// batch output to `outputs`.
+void expect_term_batch_matches_per_item(const Model& model,
+                                        std::vector<double>& outputs) {
   const std::size_t n = model.dataset().num_items();
   for (std::size_t t = 0; t < model.num_terms(); ++t) {
     const Term& term = model.term(t);
     const std::vector<double> params = fit_term_params(term, n);
-    std::vector<double> scalar(n), batch(n);
+    std::vector<double> per_item(n), batch(n);
     for (std::size_t i = 0; i < n; ++i)
-      scalar[i] = batch[i] = -0.25 * static_cast<double>(i % 7);
+      per_item[i] = batch[i] = -0.25 * static_cast<double>(i % 7);
     for (std::size_t i = 0; i < n; ++i)
-      scalar[i] += term.log_prob(i, params);
+      per_item[i] = log_prob_one(term, i, params, per_item[i]);
     term.log_prob_batch(data::ItemRange{0, n}, params, batch.data(), 1);
-    expect_bit_identical(batch, scalar);
+    expect_bit_identical(batch, per_item);
 
     // Strided (one class-column of a J=3 row buffer), partial range.
     const data::ItemRange part{n / 4, n - n / 7};
     std::vector<double> strided(n * 3, 1.0);
     term.log_prob_batch(part, params, strided.data() + n / 4 * 3 + 1, 3);
     for (std::size_t i = part.begin; i < part.end; ++i) {
-      const double expected = 1.0 + term.log_prob(i, params);
+      const double expected = log_prob_one(term, i, params, 1.0);
       ASSERT_EQ(strided[i * 3 + 1], expected) << "term " << t << " item " << i;
       ASSERT_EQ(strided[i * 3], 1.0);      // neighbours untouched
       ASSERT_EQ(strided[i * 3 + 2], 1.0);
     }
+    outputs.insert(outputs.end(), batch.begin(), batch.end());
+    outputs.insert(outputs.end(), strided.begin(), strided.end());
   }
+}
+
+/// The one-item calls run the kernels' scalar tail, the blocks their vector
+/// lanes: check at both dispatch levels, and that the two levels' blocks
+/// are memcmp-equal (on scalar-only hosts the two runs coincide).
+void expect_log_prob_kernels_match_per_item(const Model& model) {
+  std::vector<double> outputs[2];
+  for (const simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
+    const simd::ScopedForceLevel pin(level);  // AVX2 clamps to detected
+    expect_term_batch_matches_per_item(
+        model, outputs[level == simd::Level::kScalar ? 0 : 1]);
+  }
+  expect_bit_identical(outputs[1], outputs[0]);
 }
 
 TEST(TermKernels, SingleNormalWithMissing) {
   data::LabeledDataset ld = data::paper_dataset(700, 21);
   data::inject_missing(ld.dataset, 0.2, 5);
-  expect_term_batch_matches_scalar(Model::default_model(ld.dataset));
+  expect_log_prob_kernels_match_per_item(Model::default_model(ld.dataset));
 }
 
 TEST(TermKernels, SingleMultinomialWithMissing) {
@@ -94,11 +114,11 @@ TEST(TermKernels, SingleMultinomialWithMissing) {
   };
   data::LabeledDataset ld = data::categorical_mixture(mix, 600, 22);
   data::inject_missing(ld.dataset, 0.2, 6);
-  expect_term_batch_matches_scalar(Model::default_model(ld.dataset));
+  expect_log_prob_kernels_match_per_item(Model::default_model(ld.dataset));
   // Missing-as-extra-symbol policy changes the missing branch: cover both.
   ModelConfig config;
   config.missing_as_extra_value = true;
-  expect_term_batch_matches_scalar(Model::default_model(ld.dataset, config));
+  expect_log_prob_kernels_match_per_item(Model::default_model(ld.dataset, config));
 }
 
 TEST(TermKernels, MultiNormalBlock) {
@@ -108,7 +128,7 @@ TEST(TermKernels, MultiNormalBlock) {
       {0.5, {3.0, 1.0}, {1.0, 0.0, -r, std::sqrt(1 - r * r)}},
   };
   const data::LabeledDataset ld = data::correlated_mixture(mix, 500, 23);
-  expect_term_batch_matches_scalar(Model::correlated_model(ld.dataset));
+  expect_log_prob_kernels_match_per_item(Model::correlated_model(ld.dataset));
 }
 
 TEST(TermKernels, SingleLognormalWithMissing) {
@@ -120,7 +140,7 @@ TEST(TermKernels, SingleLognormalWithMissing) {
   TermSpec spec;
   spec.kind = TermKind::kSingleLognormal;
   spec.attributes = {0};
-  expect_term_batch_matches_scalar(Model(d, {spec}));
+  expect_log_prob_kernels_match_per_item(Model(d, {spec}));
 }
 
 TEST(TermKernels, IgnoreTermIsANoOp) {
@@ -128,7 +148,7 @@ TEST(TermKernels, IgnoreTermIsANoOp) {
   TermSpec normal{TermKind::kSingleNormal, {0}};
   TermSpec ignore{TermKind::kIgnore, {1}};
   const Model model(ld.dataset, {normal, ignore});
-  expect_term_batch_matches_scalar(model);
+  expect_log_prob_kernels_match_per_item(model);
 }
 
 // ---- term-level: accumulate_batch vs the pinned-association reference ----
@@ -147,8 +167,7 @@ std::vector<double> synthetic_weights(std::size_t n, std::size_t stride) {
   return w;
 }
 
-/// The contract of Term::accumulate_batch, built out of the per-item
-/// accumulate.  Multinomial and ignore fold in item order straight into
+/// The contract of Term::accumulate_batch, built out of one-item folds.  Multinomial and ignore fold in item order straight into
 /// `stats`.  The moment families use the 4-lane association: over the full
 /// groups of four, item q goes to lane q % 4 of four zeroed stat buffers
 /// (skipped unless w > 0); the lanes combine slot by slot as
@@ -162,7 +181,7 @@ void reference_accumulate(const Term& term, data::ItemRange range,
   if (kind == TermKind::kSingleMultinomial || kind == TermKind::kIgnore) {
     for (std::size_t q = 0; q < n; ++q)
       if (weights[q * stride] > 0.0)
-        term.accumulate(range.begin + q, weights[q * stride], stats);
+        accumulate_one(term, range.begin + q, weights[q * stride], stats);
     return;
   }
   const std::size_t size = term.stats_size();
@@ -170,15 +189,15 @@ void reference_accumulate(const Term& term, data::ItemRange range,
   std::vector<double> lanes(4 * size, 0.0);
   for (std::size_t q = 0; q < full; ++q)
     if (weights[q * stride] > 0.0)
-      term.accumulate(range.begin + q, weights[q * stride],
-                      std::span<double>(lanes.data() + q % 4 * size, size));
+      accumulate_one(term, range.begin + q, weights[q * stride],
+                     std::span<double>(lanes.data() + q % 4 * size, size));
   std::vector<double> combined(size);
   for (std::size_t s = 0; s < size; ++s)
     combined[s] = ((lanes[s] + lanes[size + s]) + lanes[2 * size + s]) +
                   lanes[3 * size + s];
   for (std::size_t q = full; q < n; ++q)
     if (weights[q * stride] > 0.0)
-      term.accumulate(range.begin + q, weights[q * stride], combined);
+      accumulate_one(term, range.begin + q, weights[q * stride], combined);
   for (std::size_t s = 0; s < size; ++s) stats[s] += combined[s];
 }
 
@@ -268,30 +287,69 @@ TEST(TermMStepKernels, IgnoreTermIsANoOp) {
   expect_mstep_kernels_match_reference(Model(ld.dataset, {normal, ignore}));
 }
 
-// ---- EM-level: blocked update_wts vs the scalar oracle ----
+// ---- EM-level: blocked update_wts vs a per-item rebuild ----
 
-/// Run `cycles` M/E cycles twice over the same init — once through the
-/// batch kernels, once through the scalar oracle — and require bit-equal
-/// weight matrices, class weights, and log-likelihoods at every step.
+/// update_wts's outputs rebuilt item by item from its contract: each row is
+/// log pi_k plus the terms' one-item log-probabilities in index order,
+/// normalized on its own by the shared row normalizer; W_j and the
+/// (compensated) log-likelihood fold per kEStepBlock block in item order,
+/// then block by block.
+struct EStepReference {
+  std::vector<double> weights;
+  std::vector<double> class_weights;
+  double log_likelihood = 0.0;
+};
+
+EStepReference reference_estep(const Classification& c,
+                               data::ItemRange range) {
+  const Model& model = c.model();
+  const std::size_t j = c.num_classes();
+  EStepReference ref;
+  ref.weights.resize(range.size() * j);
+  ref.class_weights.assign(j, 0.0);
+  KahanSum loglike;
+  for (std::size_t lo = range.begin; lo < range.end; lo += kEStepBlock) {
+    std::vector<double> block_wj(j, 0.0);
+    KahanSum block_loglike;
+    for (std::size_t i = lo; i < std::min(lo + kEStepBlock, range.end); ++i) {
+      double* row = ref.weights.data() + (i - range.begin) * j;
+      for (std::size_t k = 0; k < j; ++k) {
+        double lp = c.log_pi(k);
+        for (std::size_t t = 0; t < model.num_terms(); ++t)
+          lp = log_prob_one(model.term(t), i, c.param_block(k, t), lp);
+        row[k] = lp;
+      }
+      double lse = 0.0;
+      EXPECT_EQ(simd::normalize_rows(row, 1, j, &lse), 1u) << "item " << i;
+      block_loglike.add(lse);
+      for (std::size_t k = 0; k < j; ++k) block_wj[k] += row[k];
+    }
+    for (std::size_t k = 0; k < j; ++k) ref.class_weights[k] += block_wj[k];
+    loglike.add(block_loglike.value());
+  }
+  ref.log_likelihood = loglike.value();
+  return ref;
+}
+
+/// Run `cycles` M/E cycles over `range` and require, after every E-step,
+/// the weight matrix, class weights and log-likelihood bit-equal to the
+/// per-item rebuild.
 void expect_estep_bit_equal(const Model& model, std::size_t j,
-                            std::uint64_t seed, int cycles = 3) {
-  const data::ItemRange all{0, model.dataset().num_items()};
-  Reducer ra, rb;
-  EmWorker a(model, all, ra);
-  EmWorker b(model, all, rb);
-  Classification ca(model, j), cb(model, j);
-  a.random_init(ca, seed, 0, EmConfig{});
-  b.random_init(cb, seed, 0, EmConfig{});
-  expect_bit_identical(a.local_weights(), b.local_weights());
+                            std::uint64_t seed, int cycles = 3,
+                            data::ItemRange range = {}) {
+  if (range.empty()) range = {0, model.dataset().num_items()};
+  Reducer identity;
+  EmWorker worker(model, range, identity);
+  Classification c(model, j);
+  worker.random_init(c, seed, 0, EmConfig{});
   for (int cycle = 0; cycle < cycles; ++cycle) {
-    a.update_parameters(ca);
-    b.update_parameters(cb);
-    const double la = a.update_wts(ca);
-    const double lb = b.update_wts_scalar(cb);
-    ASSERT_EQ(la, lb) << "cycle " << cycle;
-    expect_bit_identical(a.local_weights(), b.local_weights());
+    worker.update_parameters(c);
+    const double loglike = worker.update_wts(c);
+    const EStepReference ref = reference_estep(c, range);
+    ASSERT_EQ(loglike, ref.log_likelihood) << "cycle " << cycle;
+    expect_bit_identical(worker.local_weights(), ref.weights);
     for (std::size_t k = 0; k < j; ++k)
-      ASSERT_EQ(ca.weight(k), cb.weight(k)) << "cycle " << cycle;
+      ASSERT_EQ(c.weight(k), ref.class_weights[k]) << "cycle " << cycle;
   }
 }
 
@@ -353,25 +411,14 @@ TEST(UpdateWtsKernel, MixedModelWithIgnoreBitEqualsScalar) {
 }
 
 TEST(UpdateWtsKernel, PartitionedRanksBitEqualScalarRanks) {
-  // The per-rank partition boundaries must not disturb equality: compare a
-  // 3-rank kernel E-step against 3-rank scalar E-steps block by block.
+  // The per-rank partition boundaries must not disturb equality: each of 3
+  // ranks' E-steps against the per-item rebuild over its own partition.
   data::LabeledDataset ld = data::paper_dataset(1000, 35);
   data::inject_missing(ld.dataset, 0.1, 12);
   const Model model = Model::default_model(ld.dataset);
-  for (int rank = 0; rank < 3; ++rank) {
-    const data::ItemRange part = data::block_partition(1000, 3, rank);
-    Reducer ra, rb;
-    EmWorker a(model, part, ra);
-    EmWorker b(model, part, rb);
-    Classification ca(model, 4), cb(model, 4);
-    a.random_init(ca, 7, 0, EmConfig{});
-    b.random_init(cb, 7, 0, EmConfig{});
-    a.update_parameters(ca);
-    b.update_parameters(cb);
-    a.update_wts(ca);
-    b.update_wts_scalar(cb);
-    expect_bit_identical(a.local_weights(), b.local_weights());
-  }
+  for (int rank = 0; rank < 3; ++rank)
+    expect_estep_bit_equal(model, 4, 7, 1,
+                           data::block_partition(1000, 3, rank));
 }
 
 // ---- EM-level: blocked update_parameters vs the blocked reference ----
@@ -629,31 +676,6 @@ TEST(ThreadInvariance, EnvVariableMatchesExplicitConfig) {
   ASSERT_EQ(via_env.cs_score, explicit_two.cs_score);
 }
 
-TEST(ThreadInvariance, ScalarOraclesAreAlsoThreadInvariant) {
-  // The scalar E-step oracle shares the blocked driver, so it too must be
-  // invariant — otherwise the equality tests would only hold at 1 thread.
-  data::LabeledDataset ld = data::paper_dataset(600, 47);
-  data::inject_missing(ld.dataset, 0.1, 17);
-  const Model model = Model::default_model(ld.dataset);
-  const data::ItemRange all{0, 600};
-  std::vector<std::vector<double>> weights;
-  std::vector<double> loglikes;
-  for (const int threads : {1, 4}) {
-    Reducer identity;
-    EmWorker worker(model, all, identity);
-    Classification c(model, 3);
-    EmConfig config;
-    config.threads = threads;
-    worker.random_init(c, 207, 0, config);
-    worker.update_parameters(c);
-    loglikes.push_back(worker.update_wts_scalar(c));
-    const std::span<const double> w = worker.local_weights();
-    weights.emplace_back(w.begin(), w.end());
-  }
-  ASSERT_EQ(loglikes[0], loglikes[1]);
-  expect_bit_identical(weights[0], weights[1]);
-}
-
 /// Ways to make the log-joint row of every item holding symbol 1 of the
 /// (single, discrete) attribute 0 degenerate, through that symbol's log
 /// probability: -inf in every class, NaN in a middle class, +inf in class 1.
@@ -749,12 +771,12 @@ TEST(ReportKernels, MembershipMatchesScalarJoint) {
   worker.random_init(c, 47, 0, config);
   worker.converge(c, config);
   for (std::size_t i = 0; i < 300; i += 13) {
-    // Scalar joint row, normalized by the one shared row normalizer.
+    // Per-item joint row, normalized by the one shared row normalizer.
     std::vector<double> row(3);
     for (std::size_t k = 0; k < 3; ++k) {
       double lp = c.log_pi(k);
       for (std::size_t t = 0; t < model.num_terms(); ++t)
-        lp += model.term(t).log_prob(i, c.param_block(k, t));
+        lp = log_prob_one(model.term(t), i, c.param_block(k, t), lp);
       row[k] = lp;
     }
     double lse = 0.0;
@@ -820,8 +842,6 @@ TEST(DegenerateRow, AllInfRowRaisesTypedErrorNamingItem) {
                   std::string::npos)
             << e.what();
       }
-      // The scalar oracle guards identically.
-      EXPECT_THROW(worker.update_wts_scalar(c), DegenerateRowError);
     }
   }
 }
@@ -972,7 +992,6 @@ TEST(SimdDispatch, ScopedForceLevelClampsAndRestores) {
     simd::ScopedForceLevel scalar(simd::Level::kScalar);
     EXPECT_EQ(scalar.effective(), simd::Level::kScalar);
     EXPECT_EQ(simd::level(), simd::Level::kScalar);
-    EXPECT_FALSE(simd::active());
     {
       // Nested non-scalar requests clamp to what the host supports.
       simd::ScopedForceLevel vec(simd::Level::kAvx2);
@@ -1003,21 +1022,13 @@ Model mixed_five_family_model(data::LabeledDataset& ld) {
   return Model(ld.dataset, std::move(specs));
 }
 
-/// Per-family kernel outputs must be memcmp-equal between the forced-scalar
-/// tier and the host's best vector tier.  Runs the term batch oracles under
-/// both forced levels; on scalar-only hosts the two runs coincide and the
-/// test degenerates to the plain kernel-equality check.
+/// Per-family kernel outputs must be memcmp-equal between the forced
+/// portable level and the host's best vector level, and equal to the
+/// per-item references at each; on scalar-only hosts the two runs coincide
+/// and the test degenerates to the plain kernel-equality check.
 void expect_simd_matches_forced_scalar(const Model& model) {
-  {
-    simd::ScopedForceLevel vec(simd::Level::kAvx2);  // clamps to detected
-    expect_term_batch_matches_scalar(model);
-    expect_term_accumulate_matches_reference(model);
-  }
-  {
-    simd::ScopedForceLevel scalar(simd::Level::kScalar);
-    expect_term_batch_matches_scalar(model);
-    expect_term_accumulate_matches_reference(model);
-  }
+  expect_log_prob_kernels_match_per_item(model);
+  expect_mstep_kernels_match_reference(model);
 }
 
 TEST(SimdKernels, GaussianWithMissingMatchesOracleAtBothLevels) {

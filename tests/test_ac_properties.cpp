@@ -16,6 +16,7 @@
 #include "autoclass/em.hpp"
 #include "autoclass/report.hpp"
 #include "data/synth.hpp"
+#include "term_reference.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 
@@ -36,7 +37,7 @@ TEST_P(PropertySeed, NormalMapParamsMaximizeStatsLikelihood) {
   const Model model = Model::default_model(ld.dataset);
   const Term& term = model.term(0);
   std::vector<double> stats(term.stats_size(), 0.0);
-  for (std::size_t i = 0; i < 5000; ++i) term.accumulate(i, 1.0, stats);
+  for (std::size_t i = 0; i < 5000; ++i) accumulate_one(term, i, 1.0, stats);
   std::vector<double> params(term.param_size(), 0.0);
   term.update_params(stats, params);
   const double at_map = term.log_likelihood_of_stats(stats, params);
@@ -63,7 +64,7 @@ TEST_P(PropertySeed, MultinomialMapParamsMaximizeStatsLikelihood) {
   const Model model = Model::default_model(ld.dataset);
   const Term& term = model.term(0);
   std::vector<double> stats(term.stats_size(), 0.0);
-  for (std::size_t i = 0; i < 4000; ++i) term.accumulate(i, 1.0, stats);
+  for (std::size_t i = 0; i < 4000; ++i) accumulate_one(term, i, 1.0, stats);
   std::vector<double> params(term.param_size(), 0.0);
   term.update_params(stats, params);
   const double at_map = term.log_likelihood_of_stats(stats, params);
@@ -89,7 +90,7 @@ TEST_P(PropertySeed, MarginalGrowsSmoothlyWithData) {
   double previous = term.log_marginal(stats);
   EXPECT_EQ(previous, 0.0);
   for (std::size_t i = 0; i < 200; ++i) {
-    term.accumulate(i, 1.0, stats);
+    accumulate_one(term, i, 1.0, stats);
     const double current = term.log_marginal(stats);
     EXPECT_TRUE(std::isfinite(current));
     // One observation changes the marginal by a bounded amount.

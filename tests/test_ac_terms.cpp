@@ -4,11 +4,14 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "autoclass/model.hpp"
 #include "data/synth.hpp"
+#include "term_reference.hpp"
 #include "util/error.hpp"
 #include "util/math.hpp"
+#include "util/rng.hpp"
 
 namespace pac::ac {
 namespace {
@@ -36,7 +39,7 @@ std::vector<double> fit_single_class(const Model& model) {
   const Term& term = model.term(0);
   std::vector<double> stats(term.stats_size(), 0.0);
   for (std::size_t i = 0; i < model.dataset().num_items(); ++i)
-    term.accumulate(i, 1.0, stats);
+    accumulate_one(term, i, 1.0, stats);
   std::vector<double> params(term.param_size(), 0.0);
   term.update_params(stats, params);
   return params;
@@ -65,7 +68,7 @@ TEST(SingleNormal, LogProbMatchesDensityPlusErrorCorrection) {
   const Dataset d = real_dataset({0.0, 1.0, 2.0}, 0.5);
   const Model model = Model::default_model(d);
   std::vector<double> params = {1.0, 2.0, std::log(2.0)};
-  const double lp = model.term(0).log_prob(1, params);
+  const double lp = log_prob_one(model.term(0), 1, params);
   EXPECT_NEAR(lp, log_normal_pdf(1.0, 1.0, 2.0) + std::log(0.5), 1e-12);
 }
 
@@ -74,9 +77,9 @@ TEST(SingleNormal, MissingValueContributesNothing) {
   d.set_missing(1, 0);
   const Model model = Model::default_model(d);
   std::vector<double> params = {0.0, 1.0, 0.0};
-  EXPECT_EQ(model.term(0).log_prob(1, params), 0.0);
+  EXPECT_EQ(log_prob_one(model.term(0), 1, params), 0.0);
   std::vector<double> stats(3, 0.0);
-  model.term(0).accumulate(1, 1.0, stats);
+  accumulate_one(model.term(0), 1, 1.0, stats);
   EXPECT_EQ(stats[0], 0.0);
 }
 
@@ -110,7 +113,7 @@ TEST(SingleNormal, MarginalMatchesNumericalIntegration) {
   const Term& term = model.term(0);
   std::vector<double> stats(3, 0.0);
   for (std::size_t i = 0; i < values.size(); ++i)
-    term.accumulate(i, 1.0, stats);
+    accumulate_one(term, i, 1.0, stats);
   const double closed_form = term.log_marginal(stats);
 
   // Prior: mean | var ~ N(mu0, var / kappa0); var ~ InvGamma(a0, b0)
@@ -149,11 +152,11 @@ TEST(SingleNormal, LogLikelihoodOfStatsMatchesDirectSum) {
   const Term& term = model.term(0);
   std::vector<double> stats(3, 0.0);
   for (std::size_t i = 0; i < values.size(); ++i)
-    term.accumulate(i, weights[i], stats);
+    accumulate_one(term, i, weights[i], stats);
   std::vector<double> params = {1.2, 0.9, std::log(0.9)};
   double direct = 0.0;
   for (std::size_t i = 0; i < values.size(); ++i)
-    direct += weights[i] * term.log_prob(i, params);
+    direct += weights[i] * log_prob_one(term, i, params);
   EXPECT_NEAR(term.log_likelihood_of_stats(stats, params), direct, 1e-9);
 }
 
@@ -196,9 +199,9 @@ TEST(SingleMultinomial, MissingSkippedByDefault) {
   const Model model = Model::default_model(d);
   const Term& term = model.term(0);
   std::vector<double> params(term.param_size(), std::log(0.5));
-  EXPECT_EQ(term.log_prob(1, params), 0.0);
+  EXPECT_EQ(log_prob_one(term, 1, params), 0.0);
   std::vector<double> stats(term.stats_size(), 0.0);
-  term.accumulate(1, 1.0, stats);
+  accumulate_one(term, 1, 1.0, stats);
   EXPECT_DOUBLE_EQ(std::accumulate(stats.begin(), stats.end(), 0.0), 0.0);
 }
 
@@ -210,10 +213,10 @@ TEST(SingleMultinomial, MissingAsExtraValuePolicy) {
   const Term& term = model.term(0);
   EXPECT_EQ(term.param_size(), 3u);  // 2 symbols + missing
   std::vector<double> stats(3, 0.0);
-  term.accumulate(1, 1.0, stats);
+  accumulate_one(term, 1, 1.0, stats);
   EXPECT_DOUBLE_EQ(stats[2], 1.0);
   std::vector<double> params = {std::log(0.5), std::log(0.3), std::log(0.2)};
-  EXPECT_DOUBLE_EQ(term.log_prob(1, params), std::log(0.2));
+  EXPECT_DOUBLE_EQ(log_prob_one(term, 1, params), std::log(0.2));
 }
 
 TEST(SingleMultinomial, MarginalMatchesExactDirichletMultinomial) {
@@ -283,7 +286,7 @@ TEST(MultiNormal, LogProbMatchesExplicitDensity) {
   const double x1 = ld.dataset.real_value(3, 1);
   const double expected = -0.5 * (2.0 * kLog2Pi + x0 * x0 + x1 * x1) +
                           2.0 * std::log(0.01);  // error corrections
-  EXPECT_NEAR(model.term(0).log_prob(3, params), expected, 1e-10);
+  EXPECT_NEAR(log_prob_one(model.term(0), 3, params), expected, 1e-10);
 }
 
 TEST(MultiNormal, RequiresTwoPlusRealAttributesAndNoMissing) {
@@ -301,6 +304,34 @@ TEST(MultiNormal, RequiresTwoPlusRealAttributesAndNoMissing) {
   EXPECT_THROW(Model(ld.dataset, {block}), pac::Error);
 }
 
+TEST(MultiNormal, WidthLimitCheckedAtConstruction) {
+  // The kernels hold at most 32 attributes per block: a wider block must
+  // fail when the model is built, naming the limit, not at the first fit.
+  auto reals = [](std::size_t dim) {
+    std::vector<Attribute> attrs;
+    for (std::size_t a = 0; a < dim; ++a)
+      attrs.push_back(Attribute::real("x" + std::to_string(a), 0.01));
+    Dataset d(Schema(std::move(attrs)), 40);
+    Xoshiro256ss rng(7);
+    for (std::size_t i = 0; i < 40; ++i)
+      for (std::size_t a = 0; a < dim; ++a) d.set_real(i, a, normal01(rng));
+    return d;
+  };
+  const Dataset wide = reals(33);
+  try {
+    (void)Model::correlated_model(wide);
+    ADD_FAILURE() << "expected pac::Error";
+  } catch (const pac::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("32-attribute limit"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("block(x0,"), std::string::npos)
+        << e.what();
+  }
+  const Dataset widest = reals(32);
+  EXPECT_NO_THROW((void)Model::correlated_model(widest));
+}
+
 TEST(MultiNormal, LogLikelihoodOfStatsMatchesDirectSum) {
   const data::LabeledDataset ld = data::paper_dataset(50, 21);
   const Model model = correlated_model(ld.dataset);
@@ -309,13 +340,13 @@ TEST(MultiNormal, LogLikelihoodOfStatsMatchesDirectSum) {
   std::vector<double> weights(50);
   for (std::size_t i = 0; i < 50; ++i) {
     weights[i] = 0.1 + 0.015 * static_cast<double>(i);
-    term.accumulate(i, weights[i], stats);
+    accumulate_one(term, i, weights[i], stats);
   }
   std::vector<double> params(term.param_size(), 0.0);
   term.update_params(stats, params);
   double direct = 0.0;
   for (std::size_t i = 0; i < 50; ++i)
-    direct += weights[i] * term.log_prob(i, params);
+    direct += weights[i] * log_prob_one(term, i, params);
   EXPECT_NEAR(term.log_likelihood_of_stats(stats, params), direct, 1e-7);
 }
 
@@ -325,7 +356,7 @@ TEST(MultiNormal, MarginalIsFiniteAndPenalizesSpread) {
   const Model model = correlated_model(tight.dataset);
   const Term& term = model.term(0);
   std::vector<double> stats(term.stats_size(), 0.0);
-  for (std::size_t i = 0; i < 200; ++i) term.accumulate(i, 1.0, stats);
+  for (std::size_t i = 0; i < 200; ++i) accumulate_one(term, i, 1.0, stats);
   const double m = term.log_marginal(stats);
   EXPECT_TRUE(std::isfinite(m));
   // Empty stats contribute zero.

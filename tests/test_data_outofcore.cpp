@@ -23,23 +23,28 @@ namespace {
 /// Write the standard synthetic dataset to a .pacb and hand back resident
 /// and chunked views of the same bytes.  The default chunks are deliberately
 /// odd and smaller than a 256-item kernel block, so blocks straddle chunk
-/// borders.  The ~4 KB budget holds about one chunk, forcing eviction
-/// throughout every E-step.
+/// borders.  The default ~4 KB budget holds about one chunk, forcing
+/// eviction throughout every E-step.
 struct BackendPair {
   std::string path;
   data::Dataset resident;
   data::Dataset chunked;
 
-  BackendPair(std::size_t n, std::uint64_t seed, std::uint32_t chunk_rows = 193)
+  BackendPair(std::size_t n, std::uint64_t seed, std::uint32_t chunk_rows = 193,
+              std::size_t budget_bytes = 4096)
       : path("/tmp/pac_ooc_" + std::to_string(::getpid()) + "_" +
              std::to_string(seed) + "_" + std::to_string(chunk_rows) +
              ".pacb"),
         resident(data::paper_dataset(n, seed).dataset) {
     data::format::write_pacb_file(path, resident, chunk_rows);
-    chunked = data::Dataset(data::ChunkedStore::open(path,
-                                                     /*budget_bytes=*/4096));
+    chunked = data::Dataset(data::ChunkedStore::open(path, budget_bytes));
   }
   ~BackendPair() { std::remove(path.c_str()); }
+
+  std::size_t chunk_loads() const {
+    return dynamic_cast<const data::ChunkedStore&>(chunked.store())
+        .chunk_loads();
+  }
 };
 
 /// Run `cycles` full EM cycles single-rank and append every weight,
@@ -98,6 +103,45 @@ TEST(OutOfCore, EmTrajectoryBitIdenticalAcrossThreadCounts) {
       // invariant, re-pinned on the chunked backend).
       expect_same_trajectory(chk, single, "threads-vs-1");
     }
+  }
+}
+
+TEST(OutOfCore, RandomInitReadsEachChunkOnce) {
+  // 32 seeds whose rows span far more chunks than the budget holds.  The
+  // seed table is gathered once (at most J x columns loads), and the scan
+  // then loads each chunk of the partition once, so the count does not
+  // grow with J; the initial weights stay those of the resident run.
+  constexpr std::size_t kJ = 32;
+  constexpr std::uint32_t kChunkRows = 1000;  // blocks straddle chunk borders
+  constexpr std::size_t kItems = 8000;
+  // Room for a straddling block's two chunks of each column, and then some.
+  constexpr std::size_t kBudget = 6 * kChunkRows * sizeof(double);
+  const BackendPair pair(kItems, 55, kChunkRows, kBudget);
+  const std::size_t columns = pair.resident.num_attributes();
+  ASSERT_LT(10 * kBudget, kJ * columns * kChunkRows * sizeof(double));
+  const std::size_t chunks = (kItems + kChunkRows - 1) / kChunkRows;
+
+  auto init_weights = [](const data::Dataset& dataset, int threads) {
+    const ac::Model model = ac::Model::default_model(dataset);
+    ac::Reducer identity;
+    ac::EmWorker worker(model, data::ItemRange{0, dataset.num_items()},
+                        identity);
+    ac::Classification c(model, kJ);
+    ac::EmConfig config;
+    config.threads = threads;
+    worker.random_init(c, 515, 0, config);
+    const std::span<const double> w = worker.local_weights();
+    return std::vector<double>(w.begin(), w.end());
+  };
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const std::size_t before = pair.chunk_loads();
+    const std::vector<double> chk = init_weights(pair.chunked, threads);
+    if (threads == 1) {
+      EXPECT_LE(pair.chunk_loads() - before, chunks * columns + kJ * columns);
+    }
+    expect_same_trajectory(init_weights(pair.resident, threads), chk,
+                           "initial weights");
   }
 }
 

@@ -1,9 +1,9 @@
 // pac_serve subsystem tests: checkpoint round-trips through the serving
 // kernel for every term family, corrupt-checkpoint rejection with named
-// line/field, predictor bit-identity against a per-item scalar
-// Term::log_prob reference, the wire protocol codec, and the live server
-// end to end — concurrent clients, hot reload under load, backpressure,
-// and malformed requests.
+// line/field, predictor bit-identity against a per-item reference built
+// from one-item log_prob_batch calls, the wire protocol codec, and the
+// live server end to end — concurrent clients, hot reload under load,
+// backpressure, and malformed requests.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -24,6 +24,7 @@
 #include "serve/client.hpp"
 #include "serve/predictor.hpp"
 #include "serve/server.hpp"
+#include "term_reference.hpp"
 #include "util/math.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -257,9 +258,9 @@ TEST(Predictor, MatchesOfflinePredictionHelpers) {
   const PredictOutput out = predict_batch(c, probe, true);
   EXPECT_EQ(out.labels, ac::predict_labels(c, probe));
 
-  // Independent oracle: per item, the scalar Term::log_prob of the model
-  // rebound to the probe rows, summed as log pi then terms in index order,
-  // then normalized with the shared row normalizer.
+  // Independent reference: per item, one-item log_prob_batch calls of the
+  // model rebound to the probe rows, summed as log pi then terms in index
+  // order, then normalized with the shared row normalizer.
   const ac::Model on_probe = model.rebound(probe);
   const std::size_t j = c.num_classes();
   ASSERT_EQ(out.labels.size(), probe.num_items());
@@ -269,7 +270,7 @@ TEST(Predictor, MatchesOfflinePredictionHelpers) {
     for (std::size_t k = 0; k < j; ++k) {
       double lp = c.log_pi(k);
       for (std::size_t t = 0; t < on_probe.num_terms(); ++t)
-        lp += on_probe.term(t).log_prob(i, c.param_block(k, t));
+        lp = ac::log_prob_one(on_probe.term(t), i, c.param_block(k, t), lp);
       row[k] = lp;
     }
     EXPECT_EQ(out.labels[i],

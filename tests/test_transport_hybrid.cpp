@@ -160,16 +160,14 @@ TEST(TransportHybrid, EStepKernelBitIdenticalToInProcess) {
 
   std::vector<std::vector<double>> hybrid(kRanks), modeled(kRanks);
   run_hybrid_world(kRanks, [&](Comm& comm) {
-    estep_suite(comm, model, /*scalar=*/false,
-                hybrid[static_cast<std::size_t>(comm.rank())]);
+    estep_suite(comm, model, hybrid[static_cast<std::size_t>(comm.rank())]);
   });
   World::Config cfg;
   cfg.num_ranks = kRanks;
   cfg.machine = net::ideal_machine();
   World world(cfg);
   world.run([&](Comm& comm) {
-    estep_suite(comm, model, /*scalar=*/false,
-                modeled[static_cast<std::size_t>(comm.rank())]);
+    estep_suite(comm, model, modeled[static_cast<std::size_t>(comm.rank())]);
   });
   expect_bit_identical(hybrid, modeled);
 }

@@ -25,6 +25,7 @@
 #include "mp/transport/frame.hpp"
 #include "transport_test_util.hpp"
 #include "util/error.hpp"
+#include "util/simd.hpp"
 
 namespace pac::mp {
 namespace {
@@ -262,11 +263,11 @@ TEST(TransportSocket, WorldIsReusableAcrossRuns) {
 }
 
 TEST(TransportSocket, EStepKernelBitIdenticalToScalarAndInProcess) {
-  // Kernel-vs-scalar smoke on the real transport: the batched E-step and the
-  // per-item scalar oracle must agree bit for bit over socket reductions AND
-  // match the in-process backend.  Full per-family kernel coverage lives in
-  // test_ac_kernels; this runs a mixed real+discrete model with missing
-  // values through the whole distributed pipeline.
+  // Kernel smoke on the real transport: the E-step on the vector lanes and
+  // pinned to the portable kernel bodies must agree bit for bit over socket
+  // reductions AND match the in-process backend.  Full per-family kernel
+  // coverage lives in test_ac_kernels; this runs a mixed real+discrete
+  // model with missing values through the whole distributed pipeline.
   constexpr int kRanks = 3;
   data::LabeledDataset ld = data::mixed_mixture(
       {{0.5, {0.0, 1.0}, {1.0, 0.5}, {{0.8, 0.2}, {0.1, 0.6, 0.3}}},
@@ -277,21 +278,24 @@ TEST(TransportSocket, EStepKernelBitIdenticalToScalarAndInProcess) {
 
   std::vector<std::vector<double>> kernel(kRanks), scalar(kRanks),
       modeled(kRanks);
-  run_socket_world(kRanks, [&](Comm& comm) {
-    estep_suite(comm, model, /*scalar=*/false,
-                kernel[static_cast<std::size_t>(comm.rank())]);
-  });
-  run_socket_world(kRanks, [&](Comm& comm) {
-    estep_suite(comm, model, /*scalar=*/true,
-                scalar[static_cast<std::size_t>(comm.rank())]);
-  });
+  {
+    const simd::ScopedForceLevel vec(simd::Level::kAvx2);  // clamps
+    run_socket_world(kRanks, [&](Comm& comm) {
+      estep_suite(comm, model, kernel[static_cast<std::size_t>(comm.rank())]);
+    });
+  }
+  {
+    const simd::ScopedForceLevel portable(simd::Level::kScalar);
+    run_socket_world(kRanks, [&](Comm& comm) {
+      estep_suite(comm, model, scalar[static_cast<std::size_t>(comm.rank())]);
+    });
+  }
   World::Config cfg;
   cfg.num_ranks = kRanks;
   cfg.machine = net::ideal_machine();
   World world(cfg);
   world.run([&](Comm& comm) {
-    estep_suite(comm, model, /*scalar=*/false,
-                modeled[static_cast<std::size_t>(comm.rank())]);
+    estep_suite(comm, model, modeled[static_cast<std::size_t>(comm.rank())]);
   });
   expect_bit_identical(kernel, scalar);
   expect_bit_identical(kernel, modeled);

@@ -237,7 +237,9 @@ inline void expect_bit_identical(
 /// One rank's E-step for the kernel-equality smoke: init + M-step + E-step
 /// over this rank's block partition, appending the local membership weights,
 /// the global class weights W_j, and the global log-likelihood to `sink`.
-inline void estep_suite(Comm& comm, const ac::Model& model, bool scalar,
+/// The SIMD level is whatever the caller pinned (simd::ScopedForceLevel,
+/// established before the world starts its rank threads).
+inline void estep_suite(Comm& comm, const ac::Model& model,
                         std::vector<double>& sink) {
   core::ParallelConfig pc;
   pc.charge_costs = false;
@@ -248,8 +250,7 @@ inline void estep_suite(Comm& comm, const ac::Model& model, bool scalar,
   ac::Classification c(model, 3);
   worker.random_init(c, 2026, 0, ac::EmConfig{});
   worker.update_parameters(c);
-  const double loglike =
-      scalar ? worker.update_wts_scalar(c) : worker.update_wts(c);
+  const double loglike = worker.update_wts(c);
   const std::span<const double> w = worker.local_weights();
   sink.insert(sink.end(), w.begin(), w.end());
   for (std::size_t j = 0; j < c.num_classes(); ++j)
