@@ -15,6 +15,7 @@
 #include "autoclass/checkpoint.hpp"
 #include "autoclass/report.hpp"
 #include "core/pautoclass.hpp"
+#include "data/format.hpp"
 #include "data/io.hpp"
 #include "data/synth.hpp"
 #include "mp/transport/env.hpp"
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
     const data::LabeledDataset demo = data::paper_dataset(items, 42);
     if (cli.get_bool("binary", false)) {
       data_path = prefix + ".pacb";
-      data::write_binary_file(data_path, demo.dataset);
+      data::format::write_pacb_file(data_path, demo.dataset);
       std::cout << "generated " << items << " tuples -> " << data_path
                 << "\n";
     } else {

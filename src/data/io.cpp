@@ -327,20 +327,6 @@ CsvResult read_csv_file(const std::string& path) {
   return read_csv(in);
 }
 
-void write_binary(std::ostream& out, const Dataset& dataset) {
-  format::write_pacb(out, dataset);
-}
-
-Dataset read_binary(std::istream& in) { return format::read_pacb(in); }
-
-void write_binary_file(const std::string& path, const Dataset& dataset) {
-  format::write_pacb_file(path, dataset);
-}
-
-Dataset read_binary_file(const std::string& path) {
-  return format::read_pacb_file(path);
-}
-
 namespace {
 
 bool has_suffix(const std::string& s, const std::string& suffix) {
@@ -387,7 +373,7 @@ Dataset open_dataset(const std::string& path, const OpenOptions& options) {
   if (is_pacb) {
     if (want_chunked)
       return Dataset(ChunkedStore::open(path, options.budget_mb << 20));
-    return read_binary_file(path);
+    return format::read_pacb_file(path);
   }
   if (has_suffix(path, ".csv")) return read_csv_file(path).dataset;
   const std::string header = options.header_path.empty()

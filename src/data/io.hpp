@@ -23,13 +23,13 @@
 namespace pac::data {
 
 /// Parse a header stream; throws pac::Error with a line number on bad input.
-/// Deprecated shim for direct .db2 loading: new call sites should go through
-/// open_dataset() below, which handles every format and backend.
+/// open_dataset() below reads ASCII .hd2/.db2 pairs through these readers;
+/// tools should call it, since it handles every format and backend.
 Schema read_header(std::istream& in);
 Schema read_header_file(const std::string& path);
 
-/// Parse a data stream against `schema`.  Deprecated shim — see
-/// open_dataset().
+/// Parse a data stream against `schema`; throws pac::Error with a line
+/// number on bad input.
 Dataset read_data(std::istream& in, const Schema& schema);
 Dataset read_data_file(const std::string& path, const Schema& schema);
 
@@ -58,28 +58,12 @@ struct CsvResult {
 CsvResult read_csv(std::istream& in);
 CsvResult read_csv_file(const std::string& path);
 
-// ---- binary format ----
-//
-// A self-contained single-file format (schema + columns) for large
-// datasets: ~5x smaller and ~20x faster to load than the ASCII pair.
-// Since v2 this is the chunked, checksummed .pacb layout of format.hpp
-// (magic/version header, CRC-guarded schema block, per-column chunked
-// segments with per-chunk row counts and checksums, cached column profiles,
-// trailer); these wrappers keep the original entry-point names.  Malformed
-// input throws format::FormatError (a pac::Error naming chunk and column
-// where applicable).
-
-void write_binary(std::ostream& out, const Dataset& dataset);
-Dataset read_binary(std::istream& in);
-void write_binary_file(const std::string& path, const Dataset& dataset);
-Dataset read_binary_file(const std::string& path);
-
 // ---- unified construction ----
 //
 // open_dataset() is the one entry point tools should use: it sniffs the
-// on-disk format and returns a Dataset on the right backend.  The older
-// read_header_file/read_data_file and read_binary_file functions above stay
-// as thin compatibility shims over the same readers.
+// on-disk format and returns a Dataset on the right backend.  The binary
+// .pacb format (format.hpp) is written and read by format::write_pacb_file
+// and format::read_pacb_file.
 
 enum class Backend {
   kAuto,      // resident, unless a .pacb file and a budget is configured

@@ -1,29 +1,10 @@
 #include "mp/comm.hpp"
 
 #include <algorithm>
-#include <ostream>
 
 #include "mp/transport/transport.hpp"
 
 namespace pac::mp {
-
-const char* to_string(TraceEvent::Op op) noexcept {
-  switch (op) {
-    case TraceEvent::Op::kCollective: return "collective";
-    case TraceEvent::Op::kSend: return "send";
-    case TraceEvent::Op::kRecv: return "recv";
-  }
-  return "?";
-}
-
-void write_trace_csv(std::ostream& os, const RunStats& stats) {
-  os << "rank,op,kind,bytes,start,end\n";
-  for (const TraceEvent& e : stats.trace) {
-    os << e.world_rank << ',' << to_string(e.op) << ','
-       << (e.op == TraceEvent::Op::kCollective ? net::to_string(e.kind) : "-")
-       << ',' << e.bytes << ',' << e.start << ',' << e.end << '\n';
-  }
-}
 
 namespace detail {
 
@@ -49,8 +30,6 @@ void RankState::init_instrumentation(std::size_t ring_capacity) {
   mp.recv_calls = &reg.counter("mp.recv.calls");
   mp.recv_bytes = &reg.counter("mp.recv.bytes");
   mp.recv_seconds = &reg.histogram("mp.recv.seconds");
-  mp.wait_calls = &reg.counter("mp.wait.calls");
-  mp.wait_seconds = &reg.histogram("mp.wait.seconds");
 }
 
 RunContext::RunContext(int world_size)
@@ -81,11 +60,8 @@ void RunContext::abort_all() {
   for (auto& [key, entry] : registry) entry.second->abort();
 }
 
-std::byte* scratch_buffer(std::size_t slot, std::size_t bytes) {
-  constexpr std::size_t kSlots = 4;
-  thread_local std::array<std::vector<std::byte>, kSlots> arenas;
-  PAC_CHECK(slot < kSlots);
-  std::vector<std::byte>& arena = arenas[slot];
+std::byte* scratch_buffer(std::size_t bytes) {
+  thread_local std::vector<std::byte> arena;
   if (arena.size() < bytes) arena.resize(bytes);
   return arena.data();
 }
@@ -130,11 +106,6 @@ void Comm::run_collective(net::CollectiveKind kind, std::size_t bytes,
       rec->record_span("mp", net::to_string(kind), arrival, done);
     }
   }
-  if (trace_) {
-    state_->trace.push_back(TraceEvent{state_->world_rank,
-                                       TraceEvent::Op::kCollective, kind,
-                                       bytes, arrival, done});
-  }
 }
 
 const char* Comm::backend_name() const noexcept {
@@ -169,12 +140,6 @@ void Comm::deliver(int dest_group_rank, int tag, const void* bytes,
         rec->record_span("mp", "send", start, state_->clock);
       }
     }
-    if (trace_) {
-      state_->trace.push_back(
-          TraceEvent{state_->world_rank, TraceEvent::Op::kSend,
-                     net::CollectiveKind::kBarrier, nbytes, start,
-                     state_->clock});
-    }
     return;
   }
   // Charge the sender-side software overhead before the message departs.
@@ -198,46 +163,18 @@ void Comm::deliver(int dest_group_rank, int tag, const void* bytes,
       rec->record_span("mp", "send", state_->clock - overhead, state_->clock);
     }
   }
-  if (trace_) {
-    state_->trace.push_back(
-        TraceEvent{state_->world_rank, TraceEvent::Op::kSend,
-                   net::CollectiveKind::kBarrier, nbytes,
-                   state_->clock - overhead, state_->clock});
-  }
   transport_->send(group_[dest_group_rank], std::move(msg));
 }
 
-Status Comm::absorb(Message&& msg, void* buffer, std::size_t capacity) {
+Status Comm::recv_bytes(int source, int tag, void* buffer,
+                        std::size_t capacity) {
+  if (distributed_) return dist_recv_bytes(source, tag, buffer, capacity);
+  const int world_source = source == kAnySource ? kAnySource : group_[source];
+  Message msg = transport_->recv(context_, world_source, tag);
   PAC_REQUIRE_MSG(msg.payload.size() <= capacity,
                   "recv buffer too small: " << capacity
                                             << " bytes < message of "
                                             << msg.payload.size());
-  if (distributed_) {
-    const double start = dist_op_begin();
-    if (!msg.payload.empty())
-      std::memcpy(buffer, msg.payload.data(), msg.payload.size());
-    dist_op_end(start);
-    Status st;
-    for (std::size_t r = 0; r < group_.size(); ++r)
-      if (group_[r] == msg.source) st.source = static_cast<int>(r);
-    st.tag = msg.tag;
-    st.bytes = msg.payload.size();
-    if constexpr (trace::compiled_in()) {
-      if (trace::Recorder* rec = state_->recorder.get()) {
-        state_->mp.recv_calls->add(1);
-        state_->mp.recv_bytes->add(msg.payload.size());
-        state_->mp.recv_seconds->observe(state_->clock - start);
-        rec->record_span("mp", "recv", start, state_->clock);
-      }
-    }
-    if (trace_) {
-      state_->trace.push_back(
-          TraceEvent{state_->world_rank, TraceEvent::Op::kRecv,
-                     net::CollectiveKind::kBarrier, msg.payload.size(), start,
-                     state_->clock});
-    }
-    return st;
-  }
   const double recv_start = state_->clock;
   if (!msg.payload.empty())
     std::memcpy(buffer, msg.payload.data(), msg.payload.size());
@@ -261,60 +198,11 @@ Status Comm::absorb(Message&& msg, void* buffer, std::size_t capacity) {
       rec->record_span("mp", "recv", recv_start, state_->clock);
     }
   }
-  if (trace_) {
-    state_->trace.push_back(
-        TraceEvent{state_->world_rank, TraceEvent::Op::kRecv,
-                   net::CollectiveKind::kBarrier, msg.payload.size(),
-                   recv_start, state_->clock});
-  }
   Status st;
   st.source = group_source;
   st.tag = msg.tag;
   st.bytes = msg.payload.size();
   return st;
-}
-
-Status Comm::recv_bytes(int source, int tag, void* buffer,
-                        std::size_t capacity) {
-  if (distributed_) return dist_recv_bytes(source, tag, buffer, capacity);
-  const int world_source = source == kAnySource ? kAnySource : group_[source];
-  Message msg = transport_->recv(context_, world_source, tag);
-  return absorb(std::move(msg), buffer, capacity);
-}
-
-void Comm::wait(Request& request) {
-  PAC_REQUIRE(valid());
-  PAC_REQUIRE_MSG(request.kind_ != Request::Kind::kNone,
-                  "wait on a default-constructed Request");
-  if (request.done_) return;
-  const double wait_start = state_->clock;
-  request.status_ =
-      recv_bytes(request.source_, request.tag_, request.buffer_,
-                 request.capacity_);
-  request.done_ = true;
-  if constexpr (trace::compiled_in()) {
-    if (state_->recorder != nullptr) {
-      state_->mp.wait_calls->add(1);
-      state_->mp.wait_seconds->observe(state_->clock - wait_start);
-    }
-  }
-}
-
-bool Comm::test(Request& request) {
-  PAC_REQUIRE(valid());
-  PAC_REQUIRE_MSG(request.kind_ != Request::Kind::kNone,
-                  "test on a default-constructed Request");
-  if (request.done_) return true;
-  const int world_source = request.source_ == kAnySource
-                               ? kAnySource
-                               : group_[request.source_];
-  Message msg;
-  if (!transport_->try_recv(context_, world_source, request.tag_, msg))
-    return false;
-  request.status_ =
-      absorb(std::move(msg), request.buffer_, request.capacity_);
-  request.done_ = true;
-  return true;
 }
 
 Status Comm::probe(int source, int tag) {
@@ -389,7 +277,6 @@ Comm Comm::split(int color, int key) {
   });
 
   Comm sub;
-  sub.world_ = world_;
   sub.run_ = run_;
   sub.state_ = state_;
   sub.network_ = network_;
@@ -397,8 +284,6 @@ Comm Comm::split(int color, int key) {
   sub.transport_ = transport_;
   sub.time_ = time_;
   sub.distributed_ = distributed_;
-  sub.kahan_ = kahan_;
-  sub.trace_ = trace_;
   sub.group_.reserve(members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
     sub.group_.push_back(group_[members[i].rank]);

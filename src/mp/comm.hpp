@@ -5,10 +5,9 @@
 // concurrently — SPMD, exactly like `mpirun -np P`.  Ranks communicate only
 // through their Comm:
 //
-//   * tagged point-to-point send/recv with MPI matching semantics,
-//   * deterministic collectives (Barrier, Bcast, Reduce, Allreduce, Gather,
-//     Allgather, Scatter, Scan, Alltoall) that combine contributions in rank
-//     order, and
+//   * tagged point-to-point send/recv/probe with MPI matching semantics,
+//   * the deterministic collectives P-AutoClass runs (Barrier, Bcast,
+//     Allreduce, Allgather), which combine contributions in rank order, and
 //   * communicator splitting (Comm::split) for subgroup algorithms.
 //
 // Each rank carries a virtual clock.  Compute sections advance it through
@@ -42,7 +41,6 @@
 #include "mp/transport/time_source.hpp"
 #include "net/machine.hpp"
 #include "util/error.hpp"
-#include "util/math.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 
@@ -58,43 +56,6 @@ using net::kNumCollectiveKinds;
 
 class World;
 class Comm;
-
-/// Handle for a nonblocking operation (isend/irecv).  Sends complete
-/// immediately (minimpi buffers); receives complete in wait()/test() when a
-/// matching message has arrived.  A Request must be completed (wait/test
-/// returning true) before its buffer is reused.
-class Request {
- public:
-  Request() = default;
-  bool done() const noexcept { return done_; }
-  /// Valid once done(): source/tag/bytes of the matched message.
-  const Status& status() const noexcept { return status_; }
-
- private:
-  friend class Comm;
-  enum class Kind { kNone, kSend, kRecv };
-  Kind kind_ = Kind::kNone;
-  void* buffer_ = nullptr;
-  std::size_t capacity_ = 0;
-  int source_ = kAnySource;
-  int tag_ = kAnyTag;
-  bool done_ = false;
-  Status status_;
-};
-
-/// One timed communication event (collected when World::Config::trace is
-/// set).  Times are virtual seconds on the modeled machine.
-struct TraceEvent {
-  enum class Op : std::uint8_t { kCollective, kSend, kRecv };
-  int world_rank = 0;
-  Op op = Op::kCollective;
-  net::CollectiveKind kind = net::CollectiveKind::kBarrier;  // collectives
-  std::size_t bytes = 0;
-  double start = 0.0;
-  double end = 0.0;
-};
-
-const char* to_string(TraceEvent::Op op) noexcept;
 
 namespace detail {
 
@@ -115,8 +76,6 @@ struct MpMetricHandles {
   metrics::Counter* recv_calls = nullptr;
   metrics::Counter* recv_bytes = nullptr;
   metrics::Histogram* recv_seconds = nullptr;  // transfer + blocked time
-  metrics::Counter* wait_calls = nullptr;
-  metrics::Histogram* wait_seconds = nullptr;  // nonblocking-wait latency
 };
 
 /// Per-rank mutable state shared by all communicators of that rank.
@@ -132,8 +91,6 @@ struct RankState {
   /// Per-CollectiveKind call counts and modeled time (indexed by the enum).
   std::array<std::uint64_t, kNumCollectiveKinds> collective_calls{};
   std::array<double, kNumCollectiveKinds> collective_seconds{};
-  /// Event log; populated only when the World was configured with trace.
-  std::vector<TraceEvent> trace;
   /// Instrumentation sink (null unless the World instruments this run).
   /// Owned by this rank's thread; merged by World::run after the join.
   std::unique_ptr<trace::Recorder> recorder;
@@ -188,12 +145,12 @@ void combine_elems(ReduceOp op, void* acc, const void* src,
   for (std::size_t i = 0; i < n; ++i) a[i] = apply_op(op, a[i], s[i]);
 }
 
-/// Thread-local grow-only scratch arenas.  The EM hot path runs thousands
-/// of small allreduces per search; collective folds and the distributed
-/// staging buffers borrow these instead of allocating per call.  Slots let
-/// one operation use several disjoint buffers; alignment is operator-new's
-/// (sufficient for every trivially copyable element type minimpi moves).
-std::byte* scratch_buffer(std::size_t slot, std::size_t bytes);
+/// Thread-local grow-only scratch arena.  The EM hot path runs thousands
+/// of small allreduces per search; the allreduce folds and the distributed
+/// staging buffer borrow it instead of allocating per call.  Alignment is
+/// operator-new's (sufficient for every trivially copyable element type
+/// minimpi moves).
+std::byte* scratch_buffer(std::size_t bytes);
 
 }  // namespace detail
 
@@ -215,10 +172,6 @@ struct RunStats {
   /// (indexed by net::CollectiveKind).
   std::array<std::uint64_t, kNumCollectiveKinds> collective_calls{};
   std::array<double, kNumCollectiveKinds> collective_seconds{};
-  /// Merged event log (all ranks, ordered by start time); empty unless the
-  /// World was configured with trace = true.
-  std::vector<TraceEvent> trace;
-
   /// True when the run was instrumented (Config::instrument and the layer
   /// compiled in): `metrics` holds the merged per-rank registries and
   /// `events` the merged per-rank ring buffers, sorted by (start, rank).
@@ -231,10 +184,6 @@ struct RunStats {
   double max_compute() const;
   double max_comm() const;
 };
-
-/// Dump a trace as CSV (rank, op, kind, bytes, start, end) for offline
-/// timeline tools.
-void write_trace_csv(std::ostream& os, const RunStats& stats);
 
 /// The communicator handed to SPMD code.  Copyable handles share rank state.
 class Comm {
@@ -311,44 +260,6 @@ class Comm {
     return v;
   }
 
-  /// Nonblocking send: identical to send (minimpi sends are buffered), but
-  /// returns a completed Request for symmetry with MPI code.
-  template <class T>
-  Request isend(int dest, int tag, std::span<const T> data) {
-    send<T>(dest, tag, data);
-    Request req;
-    req.kind_ = Request::Kind::kSend;
-    req.done_ = true;
-    return req;
-  }
-
-  /// Nonblocking receive: posts the (source, tag, buffer) triple; the
-  /// message is matched and copied in wait()/test().
-  template <class T>
-  Request irecv(int source, int tag, std::span<T> buffer) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    PAC_REQUIRE(valid());
-    PAC_REQUIRE(source == kAnySource || (source >= 0 && source < size()));
-    Request req;
-    req.kind_ = Request::Kind::kRecv;
-    req.buffer_ = buffer.data();
-    req.capacity_ = buffer.size_bytes();
-    req.source_ = source;
-    req.tag_ = tag;
-    return req;
-  }
-
-  /// Block until `request` completes.
-  void wait(Request& request);
-
-  /// Nonblocking completion test; true if the request is (now) complete.
-  bool test(Request& request);
-
-  /// Wait for every request in the span.
-  void wait_all(std::span<Request> requests) {
-    for (Request& r : requests) wait(r);
-  }
-
   /// Block until a matching message is available without receiving it;
   /// returns its source/tag/size (MPI_Probe).  The caller can then size a
   /// buffer and recv with the exact envelope.
@@ -356,14 +267,6 @@ class Comm {
 
   /// Non-blocking probe (MPI_Iprobe); true if a matching message is queued.
   bool iprobe(int source, int tag, Status& status);
-
-  /// Combined exchange, deadlock-free for symmetric neighbour patterns.
-  template <class T>
-  Status sendrecv(int dest, int send_tag, std::span<const T> send_data,
-                  int source, int recv_tag, std::span<T> recv_buffer) {
-    send<T>(dest, send_tag, send_data);
-    return recv<T>(source, recv_tag, recv_buffer);
-  }
 
   // ---- collectives (must be called by every rank of the group, with
   //      matching arguments, in the same order) ----
@@ -373,11 +276,6 @@ class Comm {
   /// Replicate `data` from `root` to all ranks (in place).
   template <class T>
   void broadcast(std::span<T> data, int root);
-
-  /// Elementwise reduction into `out` at `root` (other ranks may pass an
-  /// empty span).  Deterministic: folds rank 0, 1, ..., P-1.
-  template <class T>
-  void reduce(std::span<const T> in, std::span<T> out, ReduceOp op, int root);
 
   /// Reduction delivered to every rank (the workhorse of P-AutoClass).
   template <class T>
@@ -397,10 +295,6 @@ class Comm {
     return out;
   }
 
-  /// Concatenate every rank's `in` block at `root` (out size = P * in size).
-  template <class T>
-  void gather(std::span<const T> in, std::span<T> out, int root);
-
   /// Concatenate every rank's block on every rank.
   template <class T>
   void allgather(std::span<const T> in, std::span<T> out);
@@ -412,29 +306,6 @@ class Comm {
     allgather<T>(std::span<const T>(&value, 1), std::span<T>(out));
     return out;
   }
-
-  /// Distribute contiguous blocks of `in` at `root` (in size = P * out size).
-  template <class T>
-  void scatter(std::span<const T> in, std::span<T> out, int root);
-
-  /// Inclusive prefix reduction: out on rank r = fold(in_0 .. in_r).
-  template <class T>
-  void scan(std::span<const T> in, std::span<T> out, ReduceOp op);
-
-  /// Personalized exchange: block s of rank r's `in` lands as block r of
-  /// rank s's `out`; both spans have size P * block.
-  template <class T>
-  void alltoall(std::span<const T> in, std::span<T> out, std::size_t block);
-
-  /// Elementwise reduction of P*block inputs followed by a scatter: rank r
-  /// receives block r of the reduced vector (MPI_Reduce_scatter_block).
-  template <class T>
-  void reduce_scatter(std::span<const T> in, std::span<T> out, ReduceOp op);
-
-  /// Exclusive prefix reduction: rank 0's output is untouched; rank r > 0
-  /// gets fold(in_0 .. in_{r-1}) (MPI_Exscan).
-  template <class T>
-  void exscan(std::span<const T> in, std::span<T> out, ReduceOp op);
 
   /// Partition the group by `color` (ranks with equal color form a new
   /// communicator, ordered by (key, rank)).  A negative color yields an
@@ -456,12 +327,10 @@ class Comm {
   void deliver(int dest_group_rank, int tag, const void* bytes,
                std::size_t nbytes);
 
-  /// Blocking type-erased receive core (shared by recv and wait).
+  /// Blocking type-erased receive core: copies the matched message into
+  /// `buffer`, advances the clock by the modeled transfer and builds the
+  /// Status.
   Status recv_bytes(int source, int tag, void* buffer, std::size_t capacity);
-
-  /// Copy a matched message into `buffer`, advance the virtual clock by the
-  /// modeled transfer, and build the Status.
-  Status absorb(Message&& msg, void* buffer, std::size_t capacity);
 
   // ---- distributed (socket-backend) engine: collectives layered on
   //      pt2pt frames over a private context (comm_dist.cpp) ----
@@ -491,24 +360,11 @@ class Comm {
 
   void dist_barrier();
   void dist_broadcast(void* data, std::size_t nbytes, int root);
-  void dist_reduce(const void* in, void* out, std::size_t nbytes,
-                   ReduceOp op, detail::CombineFn combine,
-                   std::size_t elem_size, int root, bool kahan);
   void dist_allreduce(const void* in, void* out, std::size_t nbytes,
                       ReduceOp op, detail::CombineFn combine,
-                      std::size_t elem_size, bool kahan);
-  void dist_gather(const void* in, void* out, std::size_t nbytes, int root);
+                      std::size_t elem_size);
   void dist_allgather(const void* in, void* out, std::size_t nbytes);
-  void dist_scatter(const void* in, void* out, std::size_t nbytes, int root);
-  void dist_scan(const void* in, void* out, std::size_t nbytes, ReduceOp op,
-                 detail::CombineFn combine, std::size_t elem_size,
-                 bool exclusive);
-  void dist_alltoall(const void* in, void* out, std::size_t block_bytes);
-  void dist_reduce_scatter(const void* in, void* out,
-                           std::size_t block_bytes, ReduceOp op,
-                           detail::CombineFn combine, std::size_t elem_size);
 
-  World* world_ = nullptr;
   detail::RunContext* run_ = nullptr;
   detail::RankState* state_ = nullptr;
   CollectiveEngine* engine_ = nullptr;
@@ -522,8 +378,6 @@ class Comm {
   int context_ = 0;
   int split_seq_ = 0;  // per-comm counter for deterministic split keys
   std::uint32_t coll_seq_ = 0;  // tag counter for distributed collectives
-  bool kahan_ = false;
-  bool trace_ = false;
   bool distributed_ = false;
 };
 
@@ -540,10 +394,6 @@ class World {
 
     int num_ranks = 1;
     net::Machine machine = net::ideal_machine();
-    /// Use compensated summation in floating-point sum reductions.
-    bool kahan_reductions = false;
-    /// Record a TraceEvent per communication operation into RunStats.
-    bool trace = false;
     /// Build a per-rank trace::Recorder (metrics + event ring) and merge
     /// them into RunStats at finalize.  Defaults to the PAUTOCLASS_TRACE
     /// environment toggle; a no-op when the layer is compiled out
@@ -590,10 +440,6 @@ class World {
   int num_ranks() const noexcept { return config_.num_ranks; }
 
  private:
-  friend class Comm;
-
-  Mailbox& mailbox(int world_rank) { return *mailboxes_[world_rank]; }
-
   RunStats run_modeled(const std::function<void(Comm&)>& fn);
   RunStats run_distributed(const std::function<void(Comm&)>& fn);
 
@@ -649,89 +495,27 @@ void Comm::broadcast(std::span<T> data, int root) {
 }
 
 template <class T>
-void Comm::reduce(std::span<const T> in, std::span<T> out, ReduceOp op,
-                  int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PAC_REQUIRE(valid());
-  PAC_REQUIRE(root >= 0 && root < size());
-  if (rank() == root) PAC_REQUIRE(out.size() == in.size());
-  const std::size_t n = in.size();
-  if (distributed_) {
-    dist_reduce(in.data(), rank() == root ? out.data() : nullptr,
-                n * sizeof(T), op, &detail::combine_elems<T>, sizeof(T),
-                root, /*kahan=*/false);
-    return;
-  }
-  const int p = size();
-  auto fold = [n, op, root, p](std::span<const CollectiveSlot> slots) {
-    T* tmp = reinterpret_cast<T*>(detail::scratch_buffer(0, n * sizeof(T)));
-    std::memcpy(tmp, slots[0].in, n * sizeof(T));
-    for (int r = 1; r < p; ++r)
-      detail::combine_elems<T>(op, tmp, slots[r].in, n);
-    std::memcpy(slots[root].out, tmp, n * sizeof(T));
-  };
-  run_collective(net::CollectiveKind::kReduce, n * sizeof(T), in.data(),
-                 rank() == root ? out.data() : nullptr, fold);
-}
-
-template <class T>
 void Comm::allreduce(std::span<const T> in, std::span<T> out, ReduceOp op) {
   static_assert(std::is_trivially_copyable_v<T>);
   PAC_REQUIRE(valid());
   PAC_REQUIRE(out.size() == in.size());
   const std::size_t n = in.size();
   const int p = size();
-  const bool kahan =
-      kahan_ && op == ReduceOp::kSum && std::is_same_v<T, double>;
   if (distributed_) {
     dist_allreduce(in.data(), out.data(), n * sizeof(T), op,
-                   &detail::combine_elems<T>, sizeof(T), kahan);
+                   &detail::combine_elems<T>, sizeof(T));
     return;
   }
-  auto fold = [n, op, p, kahan](std::span<const CollectiveSlot> slots) {
-    T* tmp = reinterpret_cast<T*>(detail::scratch_buffer(0, n * sizeof(T)));
-    if (kahan) {
-      // Compensated rank-ordered fold (double sums only).
-      for (std::size_t i = 0; i < n; ++i) {
-        KahanSum k;
-        for (int r = 0; r < p; ++r)
-          k.add(static_cast<double>(static_cast<const T*>(slots[r].in)[i]));
-        tmp[i] = static_cast<T>(k.value());
-      }
-    } else {
-      std::memcpy(tmp, slots[0].in, n * sizeof(T));
-      for (int r = 1; r < p; ++r)
-        detail::combine_elems<T>(op, tmp, slots[r].in, n);
-    }
+  auto fold = [n, op, p](std::span<const CollectiveSlot> slots) {
+    T* tmp = reinterpret_cast<T*>(detail::scratch_buffer(n * sizeof(T)));
+    std::memcpy(tmp, slots[0].in, n * sizeof(T));
+    for (int r = 1; r < p; ++r)
+      detail::combine_elems<T>(op, tmp, slots[r].in, n);
     for (int r = 0; r < p; ++r)
       std::memcpy(slots[r].out, tmp, n * sizeof(T));
   };
   run_collective(net::CollectiveKind::kAllreduce, n * sizeof(T), in.data(),
                  out.data(), fold);
-}
-
-template <class T>
-void Comm::gather(std::span<const T> in, std::span<T> out, int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PAC_REQUIRE(valid());
-  PAC_REQUIRE(root >= 0 && root < size());
-  const std::size_t n = in.size();
-  const int p = size();
-  if (rank() == root)
-    PAC_REQUIRE(out.size() == n * static_cast<std::size_t>(p));
-  if (distributed_) {
-    dist_gather(in.data(), rank() == root ? out.data() : nullptr,
-                n * sizeof(T), root);
-    return;
-  }
-  auto fold = [n, root, p](std::span<const CollectiveSlot> slots) {
-    T* dst = static_cast<T*>(slots[root].out);
-    for (int r = 0; r < p; ++r)
-      std::memcpy(dst + static_cast<std::size_t>(r) * n, slots[r].in,
-                  n * sizeof(T));
-  };
-  run_collective(net::CollectiveKind::kGather, n * sizeof(T), in.data(),
-                 rank() == root ? out.data() : nullptr, fold);
 }
 
 template <class T>
@@ -754,141 +538,6 @@ void Comm::allgather(std::span<const T> in, std::span<T> out) {
     }
   };
   run_collective(net::CollectiveKind::kAllgather, n * sizeof(T), in.data(),
-                 out.data(), fold);
-}
-
-template <class T>
-void Comm::scatter(std::span<const T> in, std::span<T> out, int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PAC_REQUIRE(valid());
-  PAC_REQUIRE(root >= 0 && root < size());
-  const std::size_t n = out.size();
-  const int p = size();
-  if (rank() == root)
-    PAC_REQUIRE(in.size() == n * static_cast<std::size_t>(p));
-  if (distributed_) {
-    dist_scatter(rank() == root ? in.data() : nullptr, out.data(),
-                 n * sizeof(T), root);
-    return;
-  }
-  auto fold = [n, root, p](std::span<const CollectiveSlot> slots) {
-    const T* src = static_cast<const T*>(slots[root].in);
-    for (int r = 0; r < p; ++r)
-      std::memcpy(slots[r].out, src + static_cast<std::size_t>(r) * n,
-                  n * sizeof(T));
-  };
-  run_collective(net::CollectiveKind::kScatter, n * sizeof(T),
-                 rank() == root ? in.data() : nullptr, out.data(), fold);
-}
-
-template <class T>
-void Comm::scan(std::span<const T> in, std::span<T> out, ReduceOp op) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PAC_REQUIRE(valid());
-  PAC_REQUIRE(out.size() == in.size());
-  const std::size_t n = in.size();
-  if (distributed_) {
-    dist_scan(in.data(), out.data(), n * sizeof(T), op,
-              &detail::combine_elems<T>, sizeof(T), /*exclusive=*/false);
-    return;
-  }
-  const int p = size();
-  auto fold = [n, op, p](std::span<const CollectiveSlot> slots) {
-    T* running =
-        reinterpret_cast<T*>(detail::scratch_buffer(0, n * sizeof(T)));
-    std::memcpy(running, slots[0].in, n * sizeof(T));
-    std::memcpy(slots[0].out, running, n * sizeof(T));
-    for (int r = 1; r < p; ++r) {
-      detail::combine_elems<T>(op, running, slots[r].in, n);
-      std::memcpy(slots[r].out, running, n * sizeof(T));
-    }
-  };
-  run_collective(net::CollectiveKind::kScan, n * sizeof(T), in.data(),
-                 out.data(), fold);
-}
-
-template <class T>
-void Comm::alltoall(std::span<const T> in, std::span<T> out,
-                    std::size_t block) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PAC_REQUIRE(valid());
-  const int p = size();
-  PAC_REQUIRE(in.size() == block * static_cast<std::size_t>(p));
-  PAC_REQUIRE(out.size() == block * static_cast<std::size_t>(p));
-  if (distributed_) {
-    dist_alltoall(in.data(), out.data(), block * sizeof(T));
-    return;
-  }
-  auto fold = [block, p](std::span<const CollectiveSlot> slots) {
-    for (int d = 0; d < p; ++d) {
-      T* dst = static_cast<T*>(slots[d].out);
-      for (int s = 0; s < p; ++s) {
-        const T* src = static_cast<const T*>(slots[s].in);
-        std::memcpy(dst + static_cast<std::size_t>(s) * block,
-                    src + static_cast<std::size_t>(d) * block,
-                    block * sizeof(T));
-      }
-    }
-  };
-  run_collective(net::CollectiveKind::kAlltoall, block * sizeof(T), in.data(),
-                 out.data(), fold);
-}
-
-template <class T>
-void Comm::reduce_scatter(std::span<const T> in, std::span<T> out,
-                          ReduceOp op) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PAC_REQUIRE(valid());
-  const int p = size();
-  const std::size_t block = out.size();
-  PAC_REQUIRE(in.size() == block * static_cast<std::size_t>(p));
-  if (distributed_) {
-    dist_reduce_scatter(in.data(), out.data(), block * sizeof(T), op,
-                        &detail::combine_elems<T>, sizeof(T));
-    return;
-  }
-  auto fold = [block, op, p](std::span<const CollectiveSlot> slots) {
-    const std::size_t total = block * static_cast<std::size_t>(p);
-    T* tmp =
-        reinterpret_cast<T*>(detail::scratch_buffer(0, total * sizeof(T)));
-    std::memcpy(tmp, slots[0].in, total * sizeof(T));
-    for (int r = 1; r < p; ++r)
-      detail::combine_elems<T>(op, tmp, slots[r].in, total);
-    for (int r = 0; r < p; ++r)
-      std::memcpy(slots[r].out, tmp + static_cast<std::size_t>(r) * block,
-                  block * sizeof(T));
-  };
-  run_collective(net::CollectiveKind::kReduceScatter, block * sizeof(T),
-                 in.data(), out.data(), fold);
-}
-
-template <class T>
-void Comm::exscan(std::span<const T> in, std::span<T> out, ReduceOp op) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PAC_REQUIRE(valid());
-  PAC_REQUIRE(out.size() == in.size());
-  const std::size_t n = in.size();
-  if (distributed_) {
-    dist_scan(in.data(), out.data(), n * sizeof(T), op,
-              &detail::combine_elems<T>, sizeof(T), /*exclusive=*/true);
-    return;
-  }
-  const int p = size();
-  auto fold = [n, op, p](std::span<const CollectiveSlot> slots) {
-    T* running =
-        reinterpret_cast<T*>(detail::scratch_buffer(0, n * sizeof(T)));
-    T* contribution =
-        reinterpret_cast<T*>(detail::scratch_buffer(1, n * sizeof(T)));
-    std::memcpy(running, slots[0].in, n * sizeof(T));
-    // Rank 0's output is left untouched by MPI_Exscan semantics.
-    for (int r = 1; r < p; ++r) {
-      // Read the contribution before writing: in/out may alias in-place.
-      std::memcpy(contribution, slots[r].in, n * sizeof(T));
-      std::memcpy(slots[r].out, running, n * sizeof(T));
-      detail::combine_elems<T>(op, running, contribution, n);
-    }
-  };
-  run_collective(net::CollectiveKind::kExscan, n * sizeof(T), in.data(),
                  out.data(), fold);
 }
 

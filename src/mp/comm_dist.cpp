@@ -2,12 +2,13 @@
 // on point-to-point frames over the comm's private collective context, so
 // the Transport interface is the only thing the backend needs.
 //
-// Algorithms are root-based and linear, mirroring the modeled backend's
-// rank-ordered folds: reductions gather every contribution at the group's
-// rank 0 (or the user root) and fold r = 0, 1, ..., P-1 — which makes the
-// floating-point result bit-identical to the in-process fold, including the
-// compensated (Kahan) path.  Eager buffered sends plus a reader thread per
-// peer make the symmetric exchanges deadlock-free.
+// Only the collectives P-AutoClass runs live here (Barrier, Bcast,
+// Allreduce, Allgather).  Algorithms are root-based and linear, mirroring
+// the modeled backend's rank-ordered folds: Allreduce gathers every
+// contribution at the group's rank 0 and folds r = 0, 1, ..., P-1 — which
+// makes the floating-point result bit-identical to the in-process fold.
+// Eager buffered sends plus a reader thread per peer make the symmetric
+// exchanges deadlock-free.
 //
 // Time bookkeeping (wall-clock mode): the rank's `clock` is advanced to the
 // wall time at every operation boundary; the gap since the previous boundary
@@ -21,34 +22,6 @@
 #include "mp/transport/transport.hpp"
 
 namespace pac::mp {
-
-namespace {
-
-/// Rank-ordered fold of `p` contiguous blocks of `nbytes` at `all` into
-/// `out`.  `kahan` selects the compensated double-sum path.
-void fold_rank_ordered(const std::byte* all, void* out, std::size_t nbytes,
-                       int p, ReduceOp op, detail::CombineFn combine,
-                       std::size_t elem_size, bool kahan) {
-  if (kahan) {
-    const std::size_t n = nbytes / sizeof(double);
-    double* dst = static_cast<double*>(out);
-    for (std::size_t i = 0; i < n; ++i) {
-      KahanSum k;
-      for (int r = 0; r < p; ++r)
-        k.add(reinterpret_cast<const double*>(all +
-                                              static_cast<std::size_t>(r) *
-                                                  nbytes)[i]);
-      dst[i] = k.value();
-    }
-    return;
-  }
-  std::memcpy(out, all, nbytes);
-  const std::size_t n = elem_size > 0 ? nbytes / elem_size : 0;
-  for (int r = 1; r < p; ++r)
-    combine(op, out, all + static_cast<std::size_t>(r) * nbytes, n);
-}
-
-}  // namespace
 
 double Comm::dist_op_begin() {
   const double t = time_->now();
@@ -85,11 +58,6 @@ void Comm::dist_coll_end(net::CollectiveKind kind, std::size_t bytes,
       h.wait_seconds->observe(0.0);
       rec->record_span("mp", net::to_string(kind), start, end);
     }
-  }
-  if (trace_) {
-    state_->trace.push_back(TraceEvent{state_->world_rank,
-                                       TraceEvent::Op::kCollective, kind,
-                                       bytes, start, end});
   }
 }
 
@@ -143,12 +111,6 @@ Status Comm::dist_recv_bytes(int source, int tag, void* buffer,
       rec->record_span("mp", "recv", start, state_->clock);
     }
   }
-  if (trace_) {
-    state_->trace.push_back(
-        TraceEvent{state_->world_rank, TraceEvent::Op::kRecv,
-                   net::CollectiveKind::kBarrier, msg.payload.size(), start,
-                   state_->clock});
-  }
   return st;
 }
 
@@ -179,66 +141,30 @@ void Comm::dist_broadcast(void* data, std::size_t nbytes, int root) {
   dist_coll_end(net::CollectiveKind::kBcast, nbytes, start);
 }
 
-void Comm::dist_reduce(const void* in, void* out, std::size_t nbytes,
-                       ReduceOp op, detail::CombineFn combine,
-                       std::size_t elem_size, int root, bool kahan) {
-  const double start = dist_op_begin();
-  const int tag = static_cast<int>(coll_seq_++);
-  const int p = size();
-  if (group_rank_ == root) {
-    std::byte* all = detail::scratch_buffer(
-        0, nbytes * static_cast<std::size_t>(p));
-    std::memcpy(all + static_cast<std::size_t>(root) * nbytes, in, nbytes);
-    for (int r = 0; r < p; ++r)
-      if (r != root)
-        dist_recv_raw(r, tag, all + static_cast<std::size_t>(r) * nbytes,
-                      nbytes);
-    fold_rank_ordered(all, out, nbytes, p, op, combine, elem_size, kahan);
-  } else {
-    dist_send_raw(root, tag, in, nbytes);
-  }
-  dist_coll_end(net::CollectiveKind::kReduce, nbytes, start);
-}
-
 void Comm::dist_allreduce(const void* in, void* out, std::size_t nbytes,
                           ReduceOp op, detail::CombineFn combine,
-                          std::size_t elem_size, bool kahan) {
+                          std::size_t elem_size) {
   const double start = dist_op_begin();
   const int tag = static_cast<int>(coll_seq_++);
   const int p = size();
   if (group_rank_ == 0) {
-    std::byte* all = detail::scratch_buffer(
-        0, nbytes * static_cast<std::size_t>(p));
+    std::byte* all =
+        detail::scratch_buffer(nbytes * static_cast<std::size_t>(p));
     std::memcpy(all, in, nbytes);
     for (int r = 1; r < p; ++r)
       dist_recv_raw(r, tag, all + static_cast<std::size_t>(r) * nbytes,
                     nbytes);
-    fold_rank_ordered(all, out, nbytes, p, op, combine, elem_size, kahan);
+    // Rank-ordered fold, the same association as the in-process engine.
+    std::memcpy(out, all, nbytes);
+    const std::size_t n = elem_size > 0 ? nbytes / elem_size : 0;
+    for (int r = 1; r < p; ++r)
+      combine(op, out, all + static_cast<std::size_t>(r) * nbytes, n);
     for (int r = 1; r < p; ++r) dist_send_raw(r, tag, out, nbytes);
   } else {
     dist_send_raw(0, tag, in, nbytes);
     dist_recv_raw(0, tag, out, nbytes);
   }
   dist_coll_end(net::CollectiveKind::kAllreduce, nbytes, start);
-}
-
-void Comm::dist_gather(const void* in, void* out, std::size_t nbytes,
-                       int root) {
-  const double start = dist_op_begin();
-  const int tag = static_cast<int>(coll_seq_++);
-  const int p = size();
-  if (group_rank_ == root) {
-    std::byte* dst = static_cast<std::byte*>(out);
-    if (nbytes > 0)
-      std::memcpy(dst + static_cast<std::size_t>(root) * nbytes, in, nbytes);
-    for (int r = 0; r < p; ++r)
-      if (r != root)
-        dist_recv_raw(r, tag, dst + static_cast<std::size_t>(r) * nbytes,
-                      nbytes);
-  } else {
-    dist_send_raw(root, tag, in, nbytes);
-  }
-  dist_coll_end(net::CollectiveKind::kGather, nbytes, start);
 }
 
 void Comm::dist_allgather(const void* in, void* out, std::size_t nbytes) {
@@ -258,106 +184,6 @@ void Comm::dist_allgather(const void* in, void* out, std::size_t nbytes) {
     dist_recv_raw(0, tag, dst, total);
   }
   dist_coll_end(net::CollectiveKind::kAllgather, nbytes, start);
-}
-
-void Comm::dist_scatter(const void* in, void* out, std::size_t nbytes,
-                        int root) {
-  const double start = dist_op_begin();
-  const int tag = static_cast<int>(coll_seq_++);
-  const int p = size();
-  if (group_rank_ == root) {
-    const std::byte* src = static_cast<const std::byte*>(in);
-    for (int r = 0; r < p; ++r)
-      if (r != root)
-        dist_send_raw(r, tag, src + static_cast<std::size_t>(r) * nbytes,
-                      nbytes);
-    if (nbytes > 0)
-      std::memcpy(out, src + static_cast<std::size_t>(root) * nbytes, nbytes);
-  } else {
-    dist_recv_raw(root, tag, out, nbytes);
-  }
-  dist_coll_end(net::CollectiveKind::kScatter, nbytes, start);
-}
-
-void Comm::dist_scan(const void* in, void* out, std::size_t nbytes,
-                     ReduceOp op, detail::CombineFn combine,
-                     std::size_t elem_size, bool exclusive) {
-  const double start = dist_op_begin();
-  const int tag = static_cast<int>(coll_seq_++);
-  const int p = size();
-  const std::size_t n = elem_size > 0 ? nbytes / elem_size : 0;
-  if (group_rank_ == 0) {
-    std::byte* all = detail::scratch_buffer(
-        0, nbytes * static_cast<std::size_t>(p));
-    std::memcpy(all, in, nbytes);
-    for (int r = 1; r < p; ++r)
-      dist_recv_raw(r, tag, all + static_cast<std::size_t>(r) * nbytes,
-                    nbytes);
-    std::byte* running = detail::scratch_buffer(1, nbytes);
-    std::memcpy(running, all, nbytes);
-    // Rank 0: inclusive scan is its own input; exclusive leaves out alone.
-    if (!exclusive) std::memcpy(out, running, nbytes);
-    for (int r = 1; r < p; ++r) {
-      if (exclusive) dist_send_raw(r, tag, running, nbytes);
-      combine(op, running, all + static_cast<std::size_t>(r) * nbytes, n);
-      if (!exclusive) dist_send_raw(r, tag, running, nbytes);
-    }
-  } else {
-    dist_send_raw(0, tag, in, nbytes);
-    dist_recv_raw(0, tag, out, nbytes);
-  }
-  dist_coll_end(exclusive ? net::CollectiveKind::kExscan
-                          : net::CollectiveKind::kScan,
-                nbytes, start);
-}
-
-void Comm::dist_alltoall(const void* in, void* out, std::size_t block_bytes) {
-  const double start = dist_op_begin();
-  const int tag = static_cast<int>(coll_seq_++);
-  const int p = size();
-  const std::byte* src = static_cast<const std::byte*>(in);
-  std::byte* dst = static_cast<std::byte*>(out);
-  for (int d = 0; d < p; ++d)
-    if (d != group_rank_)
-      dist_send_raw(d, tag, src + static_cast<std::size_t>(d) * block_bytes,
-                    block_bytes);
-  if (block_bytes > 0)
-    std::memcpy(dst + static_cast<std::size_t>(group_rank_) * block_bytes,
-                src + static_cast<std::size_t>(group_rank_) * block_bytes,
-                block_bytes);
-  for (int s = 0; s < p; ++s)
-    if (s != group_rank_)
-      dist_recv_raw(s, tag, dst + static_cast<std::size_t>(s) * block_bytes,
-                    block_bytes);
-  dist_coll_end(net::CollectiveKind::kAlltoall, block_bytes, start);
-}
-
-void Comm::dist_reduce_scatter(const void* in, void* out,
-                               std::size_t block_bytes, ReduceOp op,
-                               detail::CombineFn combine,
-                               std::size_t elem_size) {
-  const double start = dist_op_begin();
-  const int tag = static_cast<int>(coll_seq_++);
-  const int p = size();
-  const std::size_t total = block_bytes * static_cast<std::size_t>(p);
-  if (group_rank_ == 0) {
-    std::byte* all = detail::scratch_buffer(
-        0, total * static_cast<std::size_t>(p));
-    std::memcpy(all, in, total);
-    for (int r = 1; r < p; ++r)
-      dist_recv_raw(r, tag, all + static_cast<std::size_t>(r) * total, total);
-    std::byte* folded = detail::scratch_buffer(1, total);
-    fold_rank_ordered(all, folded, total, p, op, combine, elem_size,
-                      /*kahan=*/false);
-    for (int r = 1; r < p; ++r)
-      dist_send_raw(r, tag, folded + static_cast<std::size_t>(r) * block_bytes,
-                    block_bytes);
-    if (block_bytes > 0) std::memcpy(out, folded, block_bytes);
-  } else {
-    dist_send_raw(0, tag, in, total);
-    dist_recv_raw(0, tag, out, block_bytes);
-  }
-  dist_coll_end(net::CollectiveKind::kReduceScatter, block_bytes, start);
 }
 
 }  // namespace pac::mp

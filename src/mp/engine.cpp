@@ -41,11 +41,4 @@ void CollectiveEngine::abort() {
   cv_.notify_all();
 }
 
-void CollectiveEngine::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  aborted_ = false;
-  arrived_ = 0;
-  ++generation_;  // release anything stale; state is otherwise fresh
-}
-
 }  // namespace pac::mp

@@ -53,9 +53,6 @@ class CollectiveEngine {
   /// Wake all waiters with Aborted; subsequent run() calls also throw.
   void abort();
 
-  /// Clear the abort flag and phase state (between World runs).
-  void reset();
-
   int size() const noexcept { return size_; }
 
  private:

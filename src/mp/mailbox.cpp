@@ -50,21 +50,6 @@ Message Mailbox::pop(int context, int source, int tag) {
   }
 }
 
-bool Mailbox::try_pop(int context, int source, int tag, Message& out) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (aborted_) throw Aborted{};
-  const auto it = std::find_if(
-      queue_.begin(), queue_.end(),
-      [&](const Message& m) { return matches(m, context, source, tag); });
-  if (it == queue_.end()) {
-    if (starved(source)) throw_starved(source, tag);
-    return false;
-  }
-  out = std::move(*it);
-  queue_.erase(it);
-  return true;
-}
-
 void Mailbox::peek(int context, int source, int tag, int& matched_source,
                    int& matched_tag, std::size_t& matched_bytes) {
   std::unique_lock<std::mutex> lock(mutex_);

@@ -40,9 +40,6 @@ class Mailbox {
   /// Throws Aborted if the world is torn down while waiting.
   Message pop(int context, int source, int tag);
 
-  /// Non-blocking variant; returns false if no match is queued.
-  bool try_pop(int context, int source, int tag, Message& out);
-
   /// Blocking match *without* consuming: fills source/tag/size of the
   /// earliest matching message.  Throws Aborted on teardown.
   void peek(int context, int source, int tag, int& matched_source,

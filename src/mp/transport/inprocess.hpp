@@ -32,11 +32,6 @@ class InProcessTransport final : public Transport {
     return inbox().pop(context, source_world_rank, tag);
   }
 
-  bool try_recv(int context, int source_world_rank, int tag,
-                Message& out) override {
-    return inbox().try_pop(context, source_world_rank, tag, out);
-  }
-
   void peek(int context, int source_world_rank, int tag, int& matched_source,
             int& matched_tag, std::size_t& matched_bytes) override {
     inbox().peek(context, source_world_rank, tag, matched_source, matched_tag,

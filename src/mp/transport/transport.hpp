@@ -1,8 +1,9 @@
 // pacnet: the transport abstraction under minimpi's point-to-point layer.
 //
 // A Transport moves tagged messages between world ranks and answers the
-// mailbox-style matching queries (blocking/non-blocking receive and probe
-// with MPI wildcard semantics).  Two backends implement it:
+// mailbox-style matching queries (blocking receive, blocking and
+// non-blocking probe, with MPI wildcard semantics).  Two backends
+// implement it:
 //
 //   * InProcessTransport — the original ranks-as-threads path: send pushes
 //     straight into the destination rank's Mailbox.  Deterministic,
@@ -67,10 +68,6 @@ class Transport {
   /// consume it.  Wildcards: kAnySource / kAnyTag.  Throws TransportError
   /// if the wait can never be satisfied (peer death, transport failure).
   virtual Message recv(int context, int source_world_rank, int tag) = 0;
-
-  /// Non-blocking receive; false if no match is queued.
-  virtual bool try_recv(int context, int source_world_rank, int tag,
-                        Message& out) = 0;
 
   /// Blocking match without consuming (MPI_Probe).
   virtual void peek(int context, int source_world_rank, int tag,

@@ -56,15 +56,12 @@ RunStats World::run_modeled(const std::function<void(Comm&)>& fn) {
   const auto start = std::chrono::steady_clock::now();
   auto body = [&](int rank) {
     Comm comm;
-    comm.world_ = this;
     comm.run_ = &context;
     comm.state_ = &context.ranks[rank];
     comm.engine_ = &context.world_engine;
     comm.network_ = config_.machine.network.get();
     comm.costs_ = &config_.machine.costs;
     comm.transport_ = &transports[rank];
-    comm.kahan_ = config_.kahan_reductions;
-    comm.trace_ = config_.trace;
     comm.group_.resize(p);
     for (int r = 0; r < p; ++r) comm.group_[r] = r;
     comm.group_rank_ = rank;
@@ -115,17 +112,6 @@ RunStats World::run_modeled(const std::function<void(Comm&)>& fn) {
       stats.collective_calls[k] += rs.collective_calls[k];
       stats.collective_seconds[k] += rs.collective_seconds[k];
     }
-  }
-  if (config_.trace) {
-    for (auto& rs : context.ranks) {
-      stats.trace.insert(stats.trace.end(), rs.trace.begin(),
-                         rs.trace.end());
-      rs.trace.clear();
-    }
-    std::stable_sort(stats.trace.begin(), stats.trace.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) {
-                       return a.start < b.start;
-                     });
   }
   // Finalize the instrumented run: fold every rank's registry and event
   // ring into the merged RunStats view (ranks have joined; no locks
@@ -218,7 +204,6 @@ RunStats World::run_distributed(const std::function<void(Comm&)>& fn) {
   }
 
   Comm comm;
-  comm.world_ = this;
   comm.run_ = &context;
   comm.state_ = &context.ranks[0];
   comm.engine_ = nullptr;  // collectives run on pt2pt (comm_dist.cpp)
@@ -227,8 +212,6 @@ RunStats World::run_distributed(const std::function<void(Comm&)>& fn) {
   comm.transport_ = socket_transport_.get();
   comm.time_ = &socket_transport_->time();
   comm.distributed_ = true;
-  comm.kahan_ = config_.kahan_reductions;
-  comm.trace_ = config_.trace;
   comm.group_.resize(p);
   std::iota(comm.group_.begin(), comm.group_.end(), 0);
   comm.group_rank_ = me;
@@ -278,15 +261,8 @@ RunStats World::run_distributed(const std::function<void(Comm&)>& fn) {
       stats.collective_seconds[k] += b.seconds[k];
     }
   }
-  // Trace / instrumentation views are per-process: only this rank's events
-  // and metrics are available locally (peers live in other address spaces).
-  if (config_.trace) {
-    stats.trace = std::move(context.ranks[0].trace);
-    std::stable_sort(stats.trace.begin(), stats.trace.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) {
-                       return a.start < b.start;
-                     });
-  }
+  // The instrumentation view is per-process: only this rank's events and
+  // metrics are available locally (peers live in other address spaces).
   if constexpr (trace::compiled_in()) {
     if (config_.instrument && context.ranks[0].recorder != nullptr) {
       stats.instrumented = true;

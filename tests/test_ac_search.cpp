@@ -388,7 +388,7 @@ TEST(RunSearch, NoOvershootWithoutBudget) {
 }
 
 /// Seed state holding one converged classification at try 0.
-SearchResult seeded_state(const Model& model, const Classification& fixed) {
+SearchResult seeded_state(const Classification& fixed) {
   SearchResult seed;
   seed.tries = 1;
   seed.total_cycles = fixed.cycles;
@@ -421,7 +421,7 @@ TEST(RunSearchFrom, AllDuplicateContinuationKeepsSeedBoard) {
   };
 
   const SearchResult result = run_search_from(
-      model, config, constant_runner, seeded_state(model, fixed));
+      model, config, constant_runner, seeded_state(fixed));
   EXPECT_EQ(result.tries, 5);       // 1 seeded + 4 continued
   EXPECT_EQ(result.duplicates, 4);  // every continued try
   ASSERT_EQ(result.best.size(), 1u);
@@ -448,7 +448,7 @@ TEST(RunSearchFrom, PatienceCountsDuplicateContinuations) {
   };
 
   const SearchResult result = run_search_from(
-      model, config, constant_runner, seeded_state(model, fixed));
+      model, config, constant_runner, seeded_state(fixed));
   EXPECT_EQ(result.tries, 3);  // 1 seeded + 2 stale continuations
   EXPECT_EQ(result.duplicates, 2);
   ASSERT_EQ(result.best.size(), 1u);

@@ -3,6 +3,7 @@
 
 #include <sstream>
 
+#include "data/format.hpp"
 #include "data/io.hpp"
 #include "data/synth.hpp"
 #include "util/error.hpp"
@@ -262,8 +263,8 @@ TEST(Binary, RoundTripsMixedDatasetExactly) {
   LabeledDataset labeled = mixed_mixture(mix, 500, 21);
   inject_missing(labeled.dataset, 0.07, 22);
   std::stringstream buffer;
-  write_binary(buffer, labeled.dataset);
-  const Dataset parsed = read_binary(buffer);
+  format::write_pacb(buffer, labeled.dataset);
+  const Dataset parsed = format::read_pacb(buffer);
   ASSERT_TRUE(parsed.schema() == labeled.dataset.schema());
   ASSERT_EQ(parsed.num_items(), 500u);
   for (std::size_t i = 0; i < 500; ++i) {
@@ -284,45 +285,45 @@ TEST(Binary, RoundTripsMixedDatasetExactly) {
 TEST(Binary, EmptyDatasetRoundTrips) {
   const Dataset empty(Schema({Attribute::real("x", 0.1)}), 0);
   std::stringstream buffer;
-  write_binary(buffer, empty);
-  const Dataset parsed = read_binary(buffer);
+  format::write_pacb(buffer, empty);
+  const Dataset parsed = format::read_pacb(buffer);
   EXPECT_EQ(parsed.num_items(), 0u);
 }
 
 TEST(Binary, RejectsBadMagicVersionAndTruncation) {
   std::stringstream bad_magic("NOPEnonsense");
-  EXPECT_THROW(read_binary(bad_magic), pac::Error);
+  EXPECT_THROW(format::read_pacb(bad_magic), pac::Error);
 
   const LabeledDataset ld = paper_dataset(50, 23);
   std::stringstream buffer;
-  write_binary(buffer, ld.dataset);
+  format::write_pacb(buffer, ld.dataset);
   const std::string valid = buffer.str();
   for (const std::size_t cut :
        {std::size_t{5}, std::size_t{20}, valid.size() / 2}) {
     std::stringstream truncated(valid.substr(0, cut));
-    EXPECT_THROW(read_binary(truncated), pac::Error);
+    EXPECT_THROW(format::read_pacb(truncated), pac::Error);
   }
   // Corrupt the version field (bytes 4..7).
   std::string versioned = valid;
   versioned[4] = 99;
   std::stringstream wrong_version(versioned);
-  EXPECT_THROW(read_binary(wrong_version), pac::Error);
+  EXPECT_THROW(format::read_pacb(wrong_version), pac::Error);
 }
 
 TEST(Binary, FileRoundTrip) {
   const LabeledDataset ld = paper_dataset(200, 24);
   const std::string path = "/tmp/pac_test_data.pacb";
-  write_binary_file(path, ld.dataset);
-  const Dataset parsed = read_binary_file(path);
+  format::write_pacb_file(path, ld.dataset);
+  const Dataset parsed = format::read_pacb_file(path);
   EXPECT_EQ(parsed.num_items(), 200u);
-  EXPECT_THROW(read_binary_file("/nonexistent/x.pacb"), pac::Error);
+  EXPECT_THROW(format::read_pacb_file("/nonexistent/x.pacb"), pac::Error);
 }
 
 TEST(Binary, SmallerThanAscii) {
   const LabeledDataset ld = paper_dataset(2000, 25);
   std::stringstream ascii, binary;
   write_data(ascii, ld.dataset);
-  write_binary(binary, ld.dataset);
+  format::write_pacb(binary, ld.dataset);
   EXPECT_LT(binary.str().size(), ascii.str().size());
 }
 

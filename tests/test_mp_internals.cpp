@@ -28,11 +28,8 @@ TEST(Mailbox, MatchesContextSourceAndTag) {
   box.push(make_message(0, 1, 10));
   box.push(make_message(1, 1, 10));  // different context
   box.push(make_message(0, 2, 10));  // different source
-  Message out;
-  ASSERT_TRUE(box.try_pop(0, 2, 10, out));
-  EXPECT_EQ(out.source, 2);
-  ASSERT_TRUE(box.try_pop(1, 1, 10, out));
-  EXPECT_EQ(out.context, 1);
+  EXPECT_EQ(box.pop(0, 2, 10).source, 2);
+  EXPECT_EQ(box.pop(1, 1, 10).context, 1);
   EXPECT_EQ(box.pending(), 1u);
 }
 
@@ -40,19 +37,20 @@ TEST(Mailbox, WildcardsTakeEarliestMatch) {
   Mailbox box;
   box.push(make_message(0, 3, 7));
   box.push(make_message(0, 1, 9));
-  Message out;
-  ASSERT_TRUE(box.try_pop(0, kAnySource, kAnyTag, out));
+  const Message out = box.pop(0, kAnySource, kAnyTag);
   EXPECT_EQ(out.source, 3);  // arrival order, not source order
   EXPECT_EQ(out.tag, 7);
 }
 
-TEST(Mailbox, TryPopReturnsFalseWhenNoMatch) {
+TEST(Mailbox, TryPeekReturnsFalseWhenNoMatch) {
   Mailbox box;
   box.push(make_message(0, 1, 5));
-  Message out;
-  EXPECT_FALSE(box.try_pop(0, 1, 6, out));
-  EXPECT_FALSE(box.try_pop(0, 2, 5, out));
-  EXPECT_FALSE(box.try_pop(9, 1, 5, out));
+  int source = -1, tag = -1;
+  std::size_t bytes = 0;
+  EXPECT_FALSE(box.try_peek(0, 1, 6, source, tag, bytes));
+  EXPECT_FALSE(box.try_peek(0, 2, 5, source, tag, bytes));
+  EXPECT_FALSE(box.try_peek(9, 1, 5, source, tag, bytes));
+  EXPECT_EQ(source, -1);  // untouched on a miss
   EXPECT_EQ(box.pending(), 1u);
 }
 
@@ -87,9 +85,8 @@ TEST(Mailbox, AbortWakesBlockedPop) {
   EXPECT_TRUE(aborted.load());
   // After reset the mailbox works again.
   box.reset();
-  box.push(make_message(0, 0, 0));
-  Message out;
-  EXPECT_TRUE(box.try_pop(0, 0, 0, out));
+  box.push(make_message(0, 0, 0, std::vector<std::byte>(2)));
+  EXPECT_EQ(box.pop(0, 0, 0).payload.size(), 2u);
 }
 
 TEST(Mailbox, PeekDoesNotConsume) {

@@ -2,7 +2,7 @@
 // message transfer times, and RunStats accounting.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "mp/comm.hpp"
@@ -166,15 +166,11 @@ TEST(VirtualTime, FasterNetworkFinishesSooner) {
   EXPECT_LT(run_on(net::meiko_cs2()), run_on(net::pentium_cluster()));
 }
 
-TEST(Trace, DisabledByDefault) {
-  World world(config_with(flat_machine(), 2));
-  const RunStats stats = world.run([](Comm& comm) { comm.barrier(); });
-  EXPECT_TRUE(stats.trace.empty());
-}
-
 TEST(Trace, RecordsCollectivesAndMessages) {
+  if (!trace::compiled_in())
+    GTEST_SKIP() << "tracing layer compiled out (-DPAC_TRACE=OFF)";
   World::Config cfg = config_with(flat_machine(), 2);
-  cfg.trace = true;
+  cfg.instrument = true;
   World world(cfg);
   const RunStats stats = world.run([](Comm& comm) {
     comm.barrier();
@@ -186,40 +182,33 @@ TEST(Trace, RecordsCollectivesAndMessages) {
     std::vector<double> v(4, 1.0);
     comm.allreduce_inplace<double>(v, ReduceOp::kSum);
   });
-  // 2 barriers? no: 1 barrier x2 ranks + 1 send + 1 recv + 1 allreduce x2.
-  std::size_t collectives = 0, sends = 0, recvs = 0;
-  for (const TraceEvent& e : stats.trace) {
+  ASSERT_TRUE(stats.instrumented);
+  // 1 barrier x2 ranks + 1 send + 1 recv + 1 allreduce x2.
+  std::size_t barriers = 0, allreduces = 0, sends = 0, recvs = 0;
+  for (const trace::Event& e : stats.events) {
+    ASSERT_EQ(std::string_view(e.category), "mp");
     EXPECT_LE(e.start, e.end);
-    switch (e.op) {
-      case TraceEvent::Op::kCollective: ++collectives; break;
-      case TraceEvent::Op::kSend: ++sends; break;
-      case TraceEvent::Op::kRecv: ++recvs; break;
-    }
+    const std::string_view name(e.name);
+    if (name == "barrier") ++barriers;
+    if (name == "allreduce") ++allreduces;
+    if (name == "send") ++sends;
+    if (name == "recv") ++recvs;
   }
-  EXPECT_EQ(collectives, 4u);  // barrier + allreduce, seen by both ranks
+  EXPECT_EQ(barriers, 2u);  // seen by both ranks
+  EXPECT_EQ(allreduces, 2u);
   EXPECT_EQ(sends, 1u);
   EXPECT_EQ(recvs, 1u);
+  EXPECT_EQ(stats.events.size(), 6u);
   // Merged trace is ordered by start time.
-  for (std::size_t i = 1; i < stats.trace.size(); ++i)
-    EXPECT_LE(stats.trace[i - 1].start, stats.trace[i].start);
-}
-
-TEST(Trace, CsvContainsHeaderAndRows) {
-  World::Config cfg = config_with(flat_machine(), 2);
-  cfg.trace = true;
-  World world(cfg);
-  const RunStats stats = world.run([](Comm& comm) { comm.barrier(); });
-  std::ostringstream os;
-  write_trace_csv(os, stats);
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("rank,op,kind,bytes,start,end"), std::string::npos);
-  EXPECT_NE(csv.find("collective"), std::string::npos);
-  EXPECT_NE(csv.find("barrier"), std::string::npos);
+  for (std::size_t i = 1; i < stats.events.size(); ++i)
+    EXPECT_LE(stats.events[i - 1].start, stats.events[i].start);
 }
 
 TEST(Trace, PerRankEventsHaveMonotoneTimes) {
+  if (!trace::compiled_in())
+    GTEST_SKIP() << "tracing layer compiled out (-DPAC_TRACE=OFF)";
   World::Config cfg = config_with(flat_machine(), 3);
-  cfg.trace = true;
+  cfg.instrument = true;
   World world(cfg);
   const RunStats stats = world.run([](Comm& comm) {
     for (int i = 0; i < 5; ++i) {
@@ -227,11 +216,13 @@ TEST(Trace, PerRankEventsHaveMonotoneTimes) {
       comm.barrier();
     }
   });
+  ASSERT_TRUE(stats.instrumented);
+  ASSERT_EQ(stats.events.size(), 15u);
   // Within one rank, event windows must not run backwards.
   for (int r = 0; r < 3; ++r) {
     double last_end = 0.0;
-    for (const TraceEvent& e : stats.trace) {
-      if (e.world_rank != r) continue;
+    for (const trace::Event& e : stats.events) {
+      if (e.rank != r) continue;
       EXPECT_GE(e.end, last_end);
       last_end = e.end;
     }
