@@ -134,7 +134,10 @@ void BM_IngestChunkedScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kScanRows));
 }
-BENCHMARK(BM_IngestChunkedScan);
+// Both chunked scans measure over at least 0.1 s, also under --smoke (a
+// per-benchmark MinTime overrides --benchmark_min_time): in a 0.01 s window
+// one stalled thread could sink the chunked-scan-4-threads gate's ratio.
+BENCHMARK(BM_IngestChunkedScan)->MinTime(0.1);
 
 void BM_IngestChunkedScanThreads(benchmark::State& state) {
   const Files& f = files();
@@ -164,7 +167,7 @@ void BM_IngestChunkedScanThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kScanRows));
 }
-BENCHMARK(BM_IngestChunkedScanThreads)->UseRealTime();
+BENCHMARK(BM_IngestChunkedScanThreads)->UseRealTime()->MinTime(0.1);
 
 }  // namespace
 

@@ -139,14 +139,15 @@ std::string Classification::describe() const {
 }
 
 void fill_log_joint(const Classification& c, data::ItemRange block,
-                    double* rows) {
+                    double* tile, std::size_t ld) {
   const Model& model = c.model();
   const std::size_t j = c.num_classes();
-  for (std::size_t r = 0; r < block.size(); ++r)
-    for (std::size_t k = 0; k < j; ++k) rows[r * j + k] = c.log_pi(k);
+  for (std::size_t k = 0; k < j; ++k)
+    std::fill_n(tile + k * ld, block.size(), c.log_pi(k));
   for (std::size_t t = 0; t < model.num_terms(); ++t)
     for (std::size_t k = 0; k < j; ++k)
-      model.term(t).log_prob_batch(block, c.param_block(k, t), rows + k, j);
+      model.term(t).log_prob_batch(block, c.param_block(k, t), tile + k * ld,
+                                   1);
 }
 
 }  // namespace pac::ac

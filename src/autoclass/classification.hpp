@@ -86,14 +86,15 @@ class Classification {
   std::vector<double> params_;
 };
 
-/// Fill `rows` (block.size() x num_classes, row-major) with the log joint
-/// log pi_j + sum_t log p(x_i | theta_jt) of every item in `block` of c's
-/// dataset.  Term-major: every row is seeded with the log mixing weights,
-/// then each (term, class) log_prob_batch kernel accumulates one class
-/// column across the whole block.  Per item this adds log pi first and
+/// Fill `tile` with the log joint log pi_j + sum_t log p(x_i | theta_jt) of
+/// every item in `block` of c's dataset, class-major: class k's column of
+/// block.size() values starts at tile + k * ld (ld >= block.size(); one
+/// item with ld == 1 fills a plain row).  Every column is seeded with its
+/// log mixing weight, then each (term, class) log_prob_batch kernel adds
+/// into one column with unit stride.  Per item this adds log pi first and
 /// then the terms in index order.  The E-step, the reports and prediction
 /// all fill through this one function, so they agree bit for bit.
 void fill_log_joint(const Classification& c, data::ItemRange block,
-                    double* rows);
+                    double* tile, std::size_t ld);
 
 }  // namespace pac::ac

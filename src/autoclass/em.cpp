@@ -242,22 +242,33 @@ void EmWorker::random_init(Classification& c, std::uint64_t seed,
 
 namespace {
 
-/// The E-step's degenerate-row failure: `row` (still the raw log-joint
-/// values, the normalizer stops before touching it) is all -inf, holds a
-/// +inf or holds a NaN.  Exp-normalizing it would turn the whole row into
-/// NaNs that silently poison the weight reduction, so fail loudly, naming
-/// the item and its least-impossible class.
-DegenerateRowError degenerate_row_error(std::size_t item, const double* row,
-                                        std::size_t j) {
+/// The E-step's degenerate-row failure: the item whose class-k value is
+/// `item[k * ld]` (still the raw log-joint values, the normalizer stops
+/// before touching them) is all -inf, holds a +inf or holds a NaN.
+/// Exp-normalizing it would turn its memberships into NaNs that silently
+/// poison the weight reduction, so fail loudly, naming the item and its
+/// least-impossible class.
+DegenerateRowError degenerate_row_error(std::size_t global_item,
+                                        const double* item, std::size_t j,
+                                        std::size_t ld) {
   std::size_t best = 0;
   for (std::size_t k = 1; k < j; ++k)
-    if (row[k] > row[best]) best = k;
+    if (item[k * ld] > item[best * ld]) best = k;
   std::ostringstream os;
-  os << "update_wts: item " << item
+  os << "update_wts: item " << global_item
      << " has no finite log-likelihood (J=" << j << ", best class " << best
-     << " at " << row[best] << ") — zero-support value, emptied class or "
+     << " at " << item[best * ld]
+     << ") — zero-support value, emptied class or "
      << "NaN parameter; widen the priors or drop the offending attribute";
-  return DegenerateRowError(os.str(), item, j);
+  return DegenerateRowError(os.str(), global_item, j);
+}
+
+/// This thread's E-step tile: a heap buffer of at least `doubles` values,
+/// reused across blocks, cycles and workers.
+double* tile_scratch(std::size_t doubles) {
+  thread_local std::vector<double> tile;
+  if (tile.size() < doubles) tile.resize(doubles);
+  return tile.data();
 }
 
 }  // namespace
@@ -277,18 +288,23 @@ double EmWorker::update_wts(Classification& c) {
   std::vector<std::exception_ptr> block_error(blocks);
   run_blocks(blocks, [&](std::size_t b) {
     const data::ItemRange block = block_range(range_.begin, range_.end, b);
-    double* rows = weights_.data() + (block.begin - range_.begin) * j;
     try {
-      fill_log_joint(c, block, rows);
+      // Class-major tile (column k at tile + k * kEStepBlock): unit-stride
+      // fill and normalization, then one transpose into the row-major
+      // weights_ fused with the block's per-class W_j fold in item order.
+      double* tile = tile_scratch(kEStepBlock * j);
+      fill_log_joint(c, block, tile, kEStepBlock);
       double lse[kEStepBlock];
-      const std::size_t bad = simd::normalize_rows(rows, block.size(), j, lse);
+      const std::size_t bad =
+          simd::normalize_columns(tile, block.size(), j, kEStepBlock, lse);
       if (bad < block.size())
-        throw degenerate_row_error(block.begin + bad, rows + bad * j, j);
-      double* wj = block_wj.data() + b * j;
-      for (std::size_t r = 0; r < block.size(); ++r) {
+        throw degenerate_row_error(block.begin + bad, tile + bad, j,
+                                   kEStepBlock);
+      double* rows = weights_.data() + (block.begin - range_.begin) * j;
+      simd::columns_to_rows(tile, block.size(), j, kEStepBlock, rows,
+                            block_wj.data() + b * j);
+      for (std::size_t r = 0; r < block.size(); ++r)
         block_loglike[b].add(lse[r]);
-        for (std::size_t k = 0; k < j; ++k) wj[k] += rows[r * j + k];
-      }
     } catch (...) {
       block_error[b] = std::current_exception();
     }

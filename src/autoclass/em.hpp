@@ -46,17 +46,17 @@ class Recorder;
 namespace pac::ac {
 
 /// Items per E-step / M-step block: big enough to amortize the per-(term,
-/// class) kernel dispatch, small enough that a block of likelihood rows
-/// stays in L1/L2 alongside the term columns.  Also the unit of intra-rank
-/// work sharing: per-block partials are folded in block-index order, so
-/// every EM result is a pure function of this constant and never of the
-/// thread count.
+/// class) kernel dispatch, small enough that a block's class-major
+/// likelihood tile stays in L1/L2 alongside the term columns.  Also the
+/// unit of intra-rank work sharing: per-block partials are folded in
+/// block-index order, so every EM result is a pure function of this
+/// constant and never of the thread count.
 inline constexpr std::size_t kEStepBlock = 256;
 
 /// E-step failure: an item's likelihood row has no finite maximum — -inf
 /// under *every* class (e.g. a zero-support multinomial symbol in an
 /// emptied class), a +inf entry, or a NaN anywhere — which would otherwise
-/// flow through the row normalizer into NaN membership weights and silently
+/// flow through the normalizer into NaN membership weights and silently
 /// poison the reduction.
 class DegenerateRowError : public Error {
  public:
@@ -203,10 +203,12 @@ class EmWorker {
   /// E-step over the local partition; fills the local weight matrix, the
   /// global class weights W_j, and the global observed log-likelihood
   /// (returned and stored in c.log_likelihood).  `c` must be bound to this
-  /// worker's model.  Per kEStepBlock block: fill_log_joint (the term-major
-  /// batch kernels the reports and prediction share; per item log pi_j,
-  /// then the terms in index order), simd::normalize_rows, and the block's
-  /// (W_j, log-likelihood) partials.  Blocks are work-shared across the
+  /// worker's model.  Per kEStepBlock block, in this thread's class-major
+  /// tile: fill_log_joint (the term-major batch kernels the reports and
+  /// prediction share; per item log pi_j, then the terms in index order),
+  /// simd::normalize_columns, then simd::columns_to_rows writes the rows of
+  /// the local weight matrix and the block's W_j partial, and the block's
+  /// log-likelihood partial sums lse.  Blocks are work-shared across the
   /// configured thread pool and the partials are folded in block-index
   /// order, so every result is a pure function of the block size —
   /// bit-identical across thread counts, SIMD levels and transport

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <ostream>
-#include <span>
 
 #include "util/error.hpp"
 #include "util/math.hpp"
@@ -13,22 +12,22 @@ namespace pac::ac {
 
 namespace {
 
-/// Items per blocked report pass (matches the E-step's blocking).
+/// Items per blocked report pass (matches the E-step's blocking), and the
+/// column stride of the report tile.
 constexpr std::size_t kReportBlock = 256;
 
 /// The blocked loop behind every report and prediction: fills the
-/// log-joint rows of items [0, n) of c's dataset kReportBlock items at a
-/// time and hands each block to fn(block, rows), rows being block.size()
-/// x num_classes mutable doubles.
+/// class-major log-joint tile of items [0, n) of c's dataset kReportBlock
+/// items at a time and hands each block to fn(block, tile), class k's
+/// block.size() mutable values starting at tile + k * kReportBlock.
 template <typename BlockFn>
 void for_each_log_joint_block(const Classification& c, std::size_t n,
                               BlockFn&& fn) {
-  const std::size_t j = c.num_classes();
-  std::vector<double> rows(kReportBlock * j);
+  std::vector<double> tile(kReportBlock * c.num_classes());
   for (std::size_t begin = 0; begin < n; begin += kReportBlock) {
     const data::ItemRange block{begin, std::min(begin + kReportBlock, n)};
-    fill_log_joint(c, block, rows.data());
-    fn(block, rows.data());
+    fill_log_joint(c, block, tile.data(), kReportBlock);
+    fn(block, tile.data());
   }
 }
 
@@ -45,24 +44,28 @@ void for_each_foreign_block(const Classification& c,
   for_each_log_joint_block(bound, foreign.num_items(), fn);
 }
 
-std::int32_t argmax(std::span<const double> row) {
-  return static_cast<std::int32_t>(std::max_element(row.begin(), row.end()) -
-                                   row.begin());
+/// The first class with the largest value of report-tile item r (the
+/// std::max_element rule).
+std::int32_t argmax(const double* tile, std::size_t r, std::size_t j) {
+  std::size_t best = 0;
+  for (std::size_t k = 1; k < j; ++k)
+    if (tile[best * kReportBlock + r] < tile[k * kReportBlock + r]) best = k;
+  return static_cast<std::int32_t>(best);
 }
 
-/// Log-joint rows -> posterior membership probabilities in place, and
-/// lse[r] = log sum_k exp(row r): simd::normalize_rows, the E-step's own
-/// normalizer, carried past degenerate rows instead of failing.  Such a row
-/// (no finite maximum, or a NaN) becomes all NaN with a NaN lse, as it did
-/// under the old per-row logsumexp normalization.
-void normalize_block(double* rows, std::size_t n, std::size_t j,
-                     double* lse) {
+/// Log-joint tile -> posterior membership probabilities in place, and
+/// lse[i] = log sum_k exp(item i's values): simd::normalize_columns, the
+/// E-step's own normalizer, carried past degenerate items instead of
+/// failing.  Such an item (no finite maximum, or a NaN) gets NaN
+/// memberships and a NaN lse, as under the old per-row logsumexp.
+void normalize_block(double* tile, std::size_t n, std::size_t j,
+                     std::size_t ld, double* lse) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  for (std::size_t r = 0;; ++r) {
-    r += simd::normalize_rows(rows + r * j, n - r, j, lse + r);
-    if (r == n) return;
-    std::fill_n(rows + r * j, j, kNaN);
-    lse[r] = kNaN;
+  for (std::size_t i = 0;; ++i) {
+    i += simd::normalize_columns(tile + i, n - i, j, ld, lse + i);
+    if (i == n) return;
+    for (std::size_t k = 0; k < j; ++k) tile[k * ld + i] = kNaN;
+    lse[i] = kNaN;
   }
 }
 
@@ -76,13 +79,14 @@ PredictOutput predict(const Classification& c, const data::Dataset& foreign,
   out.labels.resize(n);
   if (want_membership) out.membership.resize(n * j);
   double lse[kReportBlock];
-  for_each_foreign_block(c, foreign, [&](data::ItemRange block, double* rows) {
+  for_each_foreign_block(c, foreign, [&](data::ItemRange block, double* tile) {
     for (std::size_t r = 0; r < block.size(); ++r)
-      out.labels[block.begin + r] = argmax({rows + r * j, j});
+      out.labels[block.begin + r] = argmax(tile, r, j);
     if (want_membership) {
-      normalize_block(rows, block.size(), j, lse);
-      std::copy_n(rows, block.size() * j,
-                  out.membership.begin() + block.begin * j);
+      // PredictOutput::membership is row-major: transpose the tile back.
+      normalize_block(tile, block.size(), j, kReportBlock, lse);
+      simd::columns_to_rows(tile, block.size(), j, kReportBlock,
+                            out.membership.data() + block.begin * j, nullptr);
     }
   });
   return out;
@@ -97,8 +101,8 @@ double predict_log_likelihood(const Classification& c,
                               const data::Dataset& foreign) {
   KahanSum total;
   double lse[kReportBlock];
-  for_each_foreign_block(c, foreign, [&](data::ItemRange block, double* rows) {
-    normalize_block(rows, block.size(), c.num_classes(), lse);
+  for_each_foreign_block(c, foreign, [&](data::ItemRange block, double* tile) {
+    normalize_block(tile, block.size(), c.num_classes(), kReportBlock, lse);
     for (std::size_t r = 0; r < block.size(); ++r) total.add(lse[r]);
   });
   return total.value();
@@ -108,19 +112,20 @@ std::vector<std::int32_t> assign_labels(const Classification& c) {
   const std::size_t n = c.model().dataset().num_items();
   const std::size_t j = c.num_classes();
   std::vector<std::int32_t> labels(n);
-  for_each_log_joint_block(c, n, [&](data::ItemRange block, double* rows) {
+  for_each_log_joint_block(c, n, [&](data::ItemRange block, double* tile) {
     for (std::size_t r = 0; r < block.size(); ++r)
-      labels[block.begin + r] = argmax({rows + r * j, j});
+      labels[block.begin + r] = argmax(tile, r, j);
   });
   return labels;
 }
 
 std::vector<double> membership(const Classification& c, std::size_t item) {
   PAC_REQUIRE(item < c.model().dataset().num_items());
+  // One item with ld = 1: the tile is the item's row.
   std::vector<double> row(c.num_classes());
-  fill_log_joint(c, data::ItemRange{item, item + 1}, row.data());
+  fill_log_joint(c, data::ItemRange{item, item + 1}, row.data(), 1);
   double lse;
-  normalize_block(row.data(), 1, row.size(), &lse);
+  normalize_block(row.data(), 1, row.size(), 1, &lse);
   return row;
 }
 
@@ -147,18 +152,18 @@ void write_case_report(std::ostream& os, const Classification& c,
   os << "# case report: item  best_class p(best)  second p(second)\n";
   const std::size_t classes = c.num_classes();
   double lse[kReportBlock];
-  for_each_log_joint_block(c, limit, [&](data::ItemRange block, double* rows) {
-    normalize_block(rows, block.size(), classes, lse);
+  for_each_log_joint_block(c, limit, [&](data::ItemRange block, double* tile) {
+    normalize_block(tile, block.size(), classes, kReportBlock, lse);
     for (std::size_t r = 0; r < block.size(); ++r) {
-      const std::span<const double> m(rows + r * classes, classes);
+      const auto m = [&](std::size_t k) { return tile[k * kReportBlock + r]; };
       std::size_t best = 0;
-      for (std::size_t j = 1; j < m.size(); ++j)
-        if (m[j] > m[best]) best = j;
-      std::size_t second = best == 0 ? (m.size() > 1 ? 1 : 0) : 0;
-      for (std::size_t j = 0; j < m.size(); ++j)
-        if (j != best && m[j] > m[second]) second = j;
-      os << block.begin + r << "  " << best << " " << m[best];
-      if (m.size() > 1) os << "  " << second << " " << m[second];
+      for (std::size_t j = 1; j < classes; ++j)
+        if (m(j) > m(best)) best = j;
+      std::size_t second = best == 0 ? (classes > 1 ? 1 : 0) : 0;
+      for (std::size_t j = 0; j < classes; ++j)
+        if (j != best && m(j) > m(second)) second = j;
+      os << block.begin + r << "  " << best << " " << m(best);
+      if (classes > 1) os << "  " << second << " " << m(second);
       os << "\n";
     }
   });
@@ -172,11 +177,12 @@ double mean_max_membership(const Classification& c) {
   const std::size_t j = c.num_classes();
   KahanSum sum;
   double lse[kReportBlock];
-  for_each_log_joint_block(c, n, [&](data::ItemRange block, double* rows) {
-    normalize_block(rows, block.size(), j, lse);
-    // The normalized max is exp(0) / sum = 1 / sum, the row's largest entry.
+  for_each_log_joint_block(c, n, [&](data::ItemRange block, double* tile) {
+    normalize_block(tile, block.size(), j, kReportBlock, lse);
+    // The normalized max is exp(0) / sum = 1 / sum, the item's largest
+    // membership (NaN for a degenerate item).
     for (std::size_t r = 0; r < block.size(); ++r)
-      sum.add(*std::max_element(rows + r * j, rows + (r + 1) * j));
+      sum.add(tile[argmax(tile, r, j) * kReportBlock + r]);
   });
   return sum.value() / static_cast<double>(n);
 }

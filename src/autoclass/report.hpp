@@ -1,8 +1,9 @@
 // Reporting utilities: hard assignments, membership probabilities, the
 // attribute-influence report (AutoClass's "influ-o-text" output), and
 // prediction on foreign data.  Every per-item quantity here comes from
-// fill_log_joint, the E-step's own log-joint fill, and every membership and
-// log-likelihood from simd::normalize_rows, the E-step's own normalizer.
+// fill_log_joint, the E-step's own class-major log-joint fill, and every
+// membership and log-likelihood from simd::normalize_columns, the E-step's
+// own normalizer.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -21,6 +22,13 @@ std::vector<double> weights_of(const std::vector<Component>& mixture) {
   return w;
 }
 
+/// Attribute name `prefix` + d ("x0", "d3").  Built by append rather than
+/// `"x" + std::to_string(d)`, on which gcc 12 at -O3 reports a false
+/// -Wrestrict inside libstdc++.
+std::string attribute_name(char prefix, std::size_t d) {
+  return std::string(1, prefix).append(std::to_string(d));
+}
+
 }  // namespace
 
 LabeledDataset gaussian_mixture(const std::vector<GaussianComponent>& mixture,
@@ -36,7 +44,7 @@ LabeledDataset gaussian_mixture(const std::vector<GaussianComponent>& mixture,
   }
   std::vector<Attribute> attributes;
   for (std::size_t d = 0; d < dim; ++d)
-    attributes.push_back(Attribute::real("x" + std::to_string(d), rel_error));
+    attributes.push_back(Attribute::real(attribute_name('x', d), rel_error));
   LabeledDataset out{Dataset(Schema(std::move(attributes)), n),
                      std::vector<std::int32_t>(n)};
   Xoshiro256ss rng(seed);
@@ -62,7 +70,7 @@ LabeledDataset correlated_mixture(
                     "component mean/cholesky sizes are inconsistent");
   std::vector<Attribute> attributes;
   for (std::size_t d = 0; d < dim; ++d)
-    attributes.push_back(Attribute::real("x" + std::to_string(d), rel_error));
+    attributes.push_back(Attribute::real(attribute_name('x', d), rel_error));
   LabeledDataset out{Dataset(Schema(std::move(attributes)), n),
                      std::vector<std::int32_t>(n)};
   Xoshiro256ss rng(seed);
@@ -95,7 +103,7 @@ LabeledDataset categorical_mixture(
       PAC_REQUIRE_MSG(c.probs.size() == dim && c.probs[d].size() == l,
                       "all components must agree on attribute cardinalities");
     attributes.push_back(
-        Attribute::discrete("d" + std::to_string(d), static_cast<int>(l)));
+        Attribute::discrete(attribute_name('d', d), static_cast<int>(l)));
   }
   LabeledDataset out{Dataset(Schema(std::move(attributes)), n),
                      std::vector<std::int32_t>(n)};
@@ -120,11 +128,11 @@ LabeledDataset mixed_mixture(const std::vector<MixedComponent>& mixture,
   PAC_REQUIRE(dr + dd >= 1);
   std::vector<Attribute> attributes;
   for (std::size_t d = 0; d < dr; ++d)
-    attributes.push_back(Attribute::real("x" + std::to_string(d), rel_error));
+    attributes.push_back(Attribute::real(attribute_name('x', d), rel_error));
   for (std::size_t d = 0; d < dd; ++d) {
     const std::size_t l = mixture.front().probs[d].size();
     attributes.push_back(
-        Attribute::discrete("d" + std::to_string(d), static_cast<int>(l)));
+        Attribute::discrete(attribute_name('d', d), static_cast<int>(l)));
   }
   for (const auto& c : mixture) {
     PAC_REQUIRE(c.mean.size() == dr && c.sigma.size() == dr &&

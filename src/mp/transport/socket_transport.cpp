@@ -87,7 +87,9 @@ void SocketTransport::rendezvous() {
     if (rv.is_unix)
       listen_ep_.path = rv.path + "." + std::to_string(rank);
     else
-      listen_ep_.port = "0";  // ephemeral
+      // Ephemeral port "0", built as std::string(1, '0'): gcc 12 at -O3
+      // reports a false -Wrestrict on assigning the literal.
+      listen_ep_.port = std::string(1, '0');
   }
   std::string advertised;
   Fd listener = listen_on(listen_ep_, advertised);

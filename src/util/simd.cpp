@@ -249,6 +249,50 @@ void det_log_portable(const double* x, double* y, std::size_t n) noexcept {
 }
 
 // ---------------------------------------------------------------------------
+// Portable class-major tile kernels — the per-item reference sequence.
+// ---------------------------------------------------------------------------
+
+std::size_t normalize_columns_portable(double* tile, std::size_t n,
+                                       std::size_t j, std::size_t ld,
+                                       double* lse) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    double* item = tile + i;  // the item's value under class k: item[k * ld]
+    // The max, checked before anything is overwritten.  A NaN fails every
+    // comparison, so it is tracked on its own.
+    double m = -std::numeric_limits<double>::infinity();
+    bool nan = false;
+    for (std::size_t k = 0; k < j; ++k) {
+      const double v = item[k * ld];
+      nan |= std::isnan(v);
+      m = v > m ? v : m;
+    }
+    if (nan || !std::isfinite(m)) return i;
+    // Class-order sum of exp(v - m) (>= 1: the max adds exp(0) = 1), scale.
+    double s = 0.0;
+    for (std::size_t k = 0; k < j; ++k) {
+      const double e = det_exp_one(item[k * ld] - m);
+      item[k * ld] = e;
+      s += e;
+    }
+    const double inv = 1.0 / s;
+    for (std::size_t k = 0; k < j; ++k) item[k * ld] *= inv;
+    lse[i] = m + det_log_one(s);
+  }
+  return n;
+}
+
+void columns_to_rows_portable(const double* tile, std::size_t n,
+                              std::size_t j, std::size_t ld, double* rows,
+                              double* sums) noexcept {
+  for (std::size_t k = 0; k < j; ++k) {
+    const double* column = tile + k * ld;
+    for (std::size_t i = 0; i < n; ++i) rows[i * j + k] = column[i];
+    if (sums != nullptr)
+      for (std::size_t i = 0; i < n; ++i) sums[k] += column[i];
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Portable M-step folds — the reference for the fixed 4-lane association.
 // ---------------------------------------------------------------------------
 
@@ -521,51 +565,24 @@ void det_log(const double* x, double* y, std::size_t n) noexcept {
   det_log_portable(x, y, n);
 }
 
-std::size_t normalize_rows(double* rows, std::size_t n, std::size_t j,
-                           double* lse) noexcept {
-  // Rows go through in chunks of 256 so the per-row sums fit on the stack;
-  // every step is per row, so the chunking never shows in the results.
-  constexpr std::size_t kChunk = 256;
-  double sum[kChunk];
-  for (std::size_t begin = 0; begin < n; begin += kChunk) {
-    double* block = rows + begin * j;
-    double* block_lse = lse + begin;
-    const std::size_t size = std::min(kChunk, n - begin);
-    // 1. Row maxima and the degenerate-row check; lse holds the max for
-    //    now.  A NaN fails every comparison, so it is tracked on its own.
-    std::size_t count = 0;
-    for (; count < size; ++count) {
-      const double* row = block + count * j;
-      double m = -std::numeric_limits<double>::infinity();
-      bool nan = false;
-      for (std::size_t k = 0; k < j; ++k) {
-        nan |= std::isnan(row[k]);
-        m = row[k] > m ? row[k] : m;
-      }
-      if (nan || !std::isfinite(m)) break;
-      block_lse[count] = m;
-    }
-    // 2. One exp per item-class over the contiguous rows.
-    for (std::size_t r = 0; r < count; ++r) {
-      double* row = block + r * j;
-      const double m = block_lse[r];
-      for (std::size_t k = 0; k < j; ++k) row[k] -= m;
-    }
-    det_exp(block, block, count * j);
-    // 3. Class-order sums (>= 1: the max contributes exp(0) = 1), scale.
-    for (std::size_t r = 0; r < count; ++r) {
-      double* row = block + r * j;
-      double s = 0.0;
-      for (std::size_t k = 0; k < j; ++k) s += row[k];
-      sum[r] = s;
-      const double inv = 1.0 / s;
-      for (std::size_t k = 0; k < j; ++k) row[k] *= inv;
-    }
-    det_log(sum, sum, count);
-    for (std::size_t r = 0; r < count; ++r) block_lse[r] += sum[r];
-    if (count < size) return begin + count;
+std::size_t normalize_columns(double* tile, std::size_t n, std::size_t j,
+                              std::size_t ld, double* lse) noexcept {
+#if PAC_SIMD_HAVE_X86
+  if (level() == Level::kAvx2)
+    return avx2::normalize_columns(tile, n, j, ld, lse);
+#endif
+  return normalize_columns_portable(tile, n, j, ld, lse);
+}
+
+void columns_to_rows(const double* tile, std::size_t n, std::size_t j,
+                     std::size_t ld, double* rows, double* sums) noexcept {
+#if PAC_SIMD_HAVE_X86
+  if (level() == Level::kAvx2) {
+    avx2::columns_to_rows(tile, n, j, ld, rows, sums);
+    return;
   }
-  return n;
+#endif
+  columns_to_rows_portable(tile, n, j, ld, rows, sums);
 }
 
 void gaussian_accumulate(const double* x, const double* weights,

@@ -5,8 +5,8 @@
 // (or a host with no vector unit) executes, and explicit vector lanes over
 // the same operations for the levels that have them:
 //
-//   * the `*_log_prob` kernels and det_exp / det_log (which the row
-//     normalizer runs on) are *elementwise*: every lane performs the
+//   * the `*_log_prob` kernels, det_exp / det_log and normalize_columns
+//     (which runs them) are *elementwise* per item: every lane performs the
 //     portable body's operation sequence on its own value, with IEEE
 //     add/sub/mul/div semantics, so each output double is memcmp-equal to
 //     the portable body's — and, since a one-item call runs the scalar
@@ -115,7 +115,7 @@ void multinormal_log_prob(const double* const* cols, std::size_t d,
                           std::size_t stride) noexcept;
 
 // ---------------------------------------------------------------------------
-// Deterministic exp / log and the row normalizer.  libm-free:
+// Deterministic exp / log and the class-major tile kernels.  libm-free:
 // a fixed operation sequence with no FMA, evaluated lane by lane, so the
 // output is memcmp-equal at every dispatch level and on every libm.  They
 // run at any level (the portable loop is the reference).
@@ -135,25 +135,35 @@ void det_exp(const double* x, double* y, std::size_t n) noexcept;
 /// quiet NaN.
 void det_log(const double* x, double* y, std::size_t n) noexcept;
 
-/// The one row normalizer of the E-step, the reports and prediction.
-/// `rows` holds n rows of j log-joint values (row-major).  Row by row it
-/// turns them into posterior memberships and writes lse[r] = log sum_k
-/// exp(rows[r][k]):
+/// The one normalizer of the E-step, the reports and prediction.  `tile`
+/// holds the log-joint values of n items under j classes, class-major:
+/// item i's value under class k is tile[k * ld + i], with ld >= n.  (With
+/// n == 1 and ld == 1 the tile is a single row of j values.)  Item by item
+/// it turns them into posterior memberships in place and writes
+/// lse[i] = log sum_k exp(value under class k):
 ///
-///   1. m = max of the row, checked before any value is overwritten: a row
-///      whose m is not finite (all -inf, a +inf entry, or j == 0) or that
-///      holds a NaN is *degenerate*;
-///   2. row -= m, then one det_exp over the contiguous rows (one exp per
-///      item-class);
-///   3. sum = the row's exponentials added in class order,
-///      lse = m + det_log(sum), row *= 1 / sum.
+///   1. m = the item's max over its classes, checked before any value is
+///      overwritten: an item whose m is not finite (all -inf, a +inf entry,
+///      or j == 0) or that holds a NaN is *degenerate*;
+///   2. every value becomes det_exp(value - m) (one exp per item-class);
+///   3. s = those exponentials added in class order, every value is
+///      multiplied by 1 / s, and lse = m + det_log(s).
 ///
-/// Returns n when every row was normalized.  Otherwise returns the index r
-/// of the first degenerate row: rows [0, r) are normalized, rows [r, n)
-/// and lse[r, n) are left exactly as they were.  Each row's result depends
-/// on that row alone, never on n or on the dispatch level.
-std::size_t normalize_rows(double* rows, std::size_t n, std::size_t j,
-                           double* lse) noexcept;
+/// Returns n when every item was normalized.  Otherwise returns the index i
+/// of the first degenerate item: items [0, i) are normalized, items [i, n)
+/// and lse[i, n) are left exactly as they were.  Each item's result
+/// depends on its own values alone, never on n, ld or the dispatch level;
+/// the AVX2 body runs the passes across four items at a time.
+std::size_t normalize_columns(double* tile, std::size_t n, std::size_t j,
+                              std::size_t ld, double* lse) noexcept;
+
+/// Transposes a class-major tile (as normalize_columns) into row-major
+/// rows: rows[i * j + k] = tile[k * ld + i].  If `sums` is not null, it
+/// also adds every class's values into sums[k] in item order (the E-step's
+/// W_j fold).  Pure copies and per-class adds, so every dispatch level
+/// gives the same bits.
+void columns_to_rows(const double* tile, std::size_t n, std::size_t j,
+                     std::size_t ld, double* rows, double* sums) noexcept;
 
 // ---------------------------------------------------------------------------
 // M-step moment folds (the only Term::accumulate_batch folds of the normal

@@ -14,6 +14,8 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -416,6 +418,153 @@ void det_log(const double* x, double* y, std::size_t n) noexcept {
     for (std::size_t t = 0; i + t < n; ++t) tmp[t] = x[i + t];
     _mm256_store_pd(tmp, det_log4(_mm256_load_pd(tmp)));
     for (std::size_t t = 0; i + t < n; ++t) y[i + t] = tmp[t];
+  }
+}
+
+namespace {
+
+/// All-ones in lanes [0, live), for the masked loads and stores of a group
+/// of fewer than four items.
+inline __m256i lane_mask(std::size_t live) noexcept {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(live)),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+template <bool kMasked>
+inline __m256d load_lanes(const double* p, __m256i mask) noexcept {
+  if constexpr (kMasked) return _mm256_maskload_pd(p, mask);
+  return _mm256_loadu_pd(p);
+}
+
+template <bool kMasked>
+inline void store_lanes(double* p, __m256i mask, __m256d v) noexcept {
+  if constexpr (kMasked)
+    _mm256_maskstore_pd(p, mask, v);
+  else
+    _mm256_storeu_pd(p, v);
+}
+
+/// The maxima `m` of the group of four items at `item` over its j classes,
+/// checked before anything is overwritten; returns the bitmask of its
+/// degenerate lanes.  max_pd(v, m) is `v > m ? v : m` (a NaN v keeps m), so
+/// m is never NaN and a NaN is tracked on its own.  Masked-off lanes load
+/// 0.0 and are never degenerate.
+template <bool kMasked>
+inline int group_max(const double* item, std::size_t j, std::size_t ld,
+                     __m256i mask, __m256d& m) noexcept {
+  m = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
+  __m256d nan = _mm256_setzero_pd();
+  for (std::size_t k = 0; k < j; ++k) {
+    const __m256d v = load_lanes<kMasked>(item + k * ld, mask);
+    nan = _mm256_or_pd(nan, _mm256_cmp_pd(v, v, _CMP_UNORD_Q));
+    m = _mm256_max_pd(v, m);
+  }
+  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  const __m256d abs_m = _mm256_andnot_pd(_mm256_set1_pd(-0.0), m);
+  return _mm256_movemask_pd(
+      _mm256_or_pd(nan, _mm256_cmp_pd(abs_m, inf, _CMP_EQ_OQ)));
+}
+
+/// Normalizes the group of four items at `item` (the masked-off lanes of a
+/// partial group are neither read nor written) given their maxima `m`:
+/// normalize_columns_portable's per-item sequence, one item per lane.
+template <bool kMasked>
+inline void normalize_group(double* item, std::size_t j, std::size_t ld,
+                            __m256d m, __m256i mask, double* lse) noexcept {
+  __m256d s = _mm256_setzero_pd();
+  for (std::size_t k = 0; k < j; ++k) {
+    double* p = item + k * ld;
+    const __m256d e =
+        det_exp4(_mm256_sub_pd(load_lanes<kMasked>(p, mask), m));
+    store_lanes<kMasked>(p, mask, e);
+    s = _mm256_add_pd(s, e);
+  }
+  const __m256d inv = _mm256_div_pd(_mm256_set1_pd(1.0), s);
+  for (std::size_t k = 0; k < j; ++k) {
+    double* p = item + k * ld;
+    store_lanes<kMasked>(p, mask,
+                         _mm256_mul_pd(load_lanes<kMasked>(p, mask), inv));
+  }
+  store_lanes<kMasked>(lse, mask, _mm256_add_pd(m, det_log4(s)));
+}
+
+}  // namespace
+
+std::size_t normalize_columns(double* tile, std::size_t n, std::size_t j,
+                              std::size_t ld, double* lse) noexcept {
+  for (std::size_t i = 0; i < n; i += 4) {
+    const std::size_t live = std::min<std::size_t>(4, n - i);
+    __m256i mask = lane_mask(live);
+    double* item = tile + i;
+    __m256d m = _mm256_setzero_pd();
+    const int bad = live == 4 ? group_max<false>(item, j, ld, mask, m)
+                              : group_max<true>(item, j, ld, mask, m);
+    if (bad == 0 && live == 4) {
+      normalize_group<false>(item, j, ld, m, mask, lse + i);
+      continue;
+    }
+    // A partial group, or one holding a degenerate item: normalize the
+    // lanes before the first bad one and stop there.
+    const std::size_t done =
+        bad == 0 ? live
+                 : static_cast<std::size_t>(
+                       std::countr_zero(static_cast<unsigned>(bad)));
+    mask = lane_mask(done);
+    if (done > 0) normalize_group<true>(item, j, ld, m, mask, lse + i);
+    if (bad != 0) return i + done;
+  }
+  return n;
+}
+
+void columns_to_rows(const double* tile, std::size_t n, std::size_t j,
+                     std::size_t ld, double* rows, double* sums) noexcept {
+  const std::size_t n4 = n & ~std::size_t{3};
+  const std::size_t j4 = j & ~std::size_t{3};
+  std::size_t k = 0;
+  for (; k < j4; k += 4) {
+    // Four classes at a time: 4x4 register transposes turn four column
+    // vectors into four row vectors, which are stored and, per class lane,
+    // added to the sums in item order.
+    const double* c0 = tile + k * ld;
+    const double* c1 = c0 + ld;
+    const double* c2 = c1 + ld;
+    const double* c3 = c2 + ld;
+    __m256d acc =
+        sums != nullptr ? _mm256_loadu_pd(sums + k) : _mm256_setzero_pd();
+    std::size_t i = 0;
+    for (; i < n4; i += 4) {
+      const __m256d a = _mm256_loadu_pd(c0 + i);
+      const __m256d b = _mm256_loadu_pd(c1 + i);
+      const __m256d c = _mm256_loadu_pd(c2 + i);
+      const __m256d d = _mm256_loadu_pd(c3 + i);
+      const __m256d ab_lo = _mm256_unpacklo_pd(a, b);  // a0 b0 a2 b2
+      const __m256d ab_hi = _mm256_unpackhi_pd(a, b);  // a1 b1 a3 b3
+      const __m256d cd_lo = _mm256_unpacklo_pd(c, d);  // c0 d0 c2 d2
+      const __m256d cd_hi = _mm256_unpackhi_pd(c, d);  // c1 d1 c3 d3
+      const __m256d r0 = _mm256_permute2f128_pd(ab_lo, cd_lo, 0x20);
+      const __m256d r1 = _mm256_permute2f128_pd(ab_hi, cd_hi, 0x20);
+      const __m256d r2 = _mm256_permute2f128_pd(ab_lo, cd_lo, 0x31);
+      const __m256d r3 = _mm256_permute2f128_pd(ab_hi, cd_hi, 0x31);
+      double* row = rows + i * j + k;
+      _mm256_storeu_pd(row, r0);
+      _mm256_storeu_pd(row + j, r1);
+      _mm256_storeu_pd(row + 2 * j, r2);
+      _mm256_storeu_pd(row + 3 * j, r3);
+      acc = _mm256_add_pd(
+          _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(acc, r0), r1), r2), r3);
+    }
+    for (; i < n; ++i) {
+      const __m256d r = _mm256_setr_pd(c0[i], c1[i], c2[i], c3[i]);
+      _mm256_storeu_pd(rows + i * j + k, r);
+      acc = _mm256_add_pd(acc, r);
+    }
+    if (sums != nullptr) _mm256_storeu_pd(sums + k, acc);
+  }
+  for (; k < j; ++k) {
+    const double* column = tile + k * ld;
+    for (std::size_t i = 0; i < n; ++i) rows[i * j + k] = column[i];
+    if (sums != nullptr)
+      for (std::size_t i = 0; i < n; ++i) sums[k] += column[i];
   }
 }
 

@@ -94,6 +94,12 @@ void det_exp(const double* x, double* y, std::size_t n) noexcept;
 
 void det_log(const double* x, double* y, std::size_t n) noexcept;
 
+std::size_t normalize_columns(double* tile, std::size_t n, std::size_t j,
+                              std::size_t ld, double* lse) noexcept;
+
+void columns_to_rows(const double* tile, std::size_t n, std::size_t j,
+                     std::size_t ld, double* rows, double* sums) noexcept;
+
 }  // namespace pac::simd::avx2
 
 #endif  // PAC_SIMD_HAVE_X86

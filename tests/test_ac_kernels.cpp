@@ -291,7 +291,7 @@ TEST(TermMStepKernels, IgnoreTermIsANoOp) {
 
 /// update_wts's outputs rebuilt item by item from its contract: each row is
 /// log pi_k plus the terms' one-item log-probabilities in index order,
-/// normalized on its own by the shared row normalizer; W_j and the
+/// normalized on its own by the shared normalizer; W_j and the
 /// (compensated) log-likelihood fold per kEStepBlock block in item order,
 /// then block by block.
 struct EStepReference {
@@ -320,7 +320,8 @@ EStepReference reference_estep(const Classification& c,
         row[k] = lp;
       }
       double lse = 0.0;
-      EXPECT_EQ(simd::normalize_rows(row, 1, j, &lse), 1u) << "item " << i;
+      EXPECT_EQ(simd::normalize_columns(row, 1, j, 1, &lse), 1u)
+          << "item " << i;
       block_loglike.add(lse);
       for (std::size_t k = 0; k < j; ++k) block_wj[k] += row[k];
     }
@@ -419,6 +420,26 @@ TEST(UpdateWtsKernel, PartitionedRanksBitEqualScalarRanks) {
   for (int rank = 0; rank < 3; ++rank)
     expect_estep_bit_equal(model, 4, 7, 1,
                            data::block_partition(1000, 3, rank));
+}
+
+TEST(UpdateWtsKernel, PartialOddLastBlockBitEqualsScalarAtBothLevels) {
+  // 1001 items end in a 233-item block: odd, and one item past the last
+  // 4-item lane group, so the tile kernels' masked tail runs in every
+  // E-step; so do ranks of 334 and 333 items.  At both dispatch levels.
+  data::LabeledDataset ld = data::paper_dataset(1001, 38);
+  data::inject_missing(ld.dataset, 0.1, 13);
+  const Model model = Model::default_model(ld.dataset);
+  for (const simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
+    const simd::ScopedForceLevel pin(level);
+    for (const std::size_t j : {3, 5, 8}) {
+      SCOPED_TRACE(testing::Message()
+                   << simd::to_string(level) << " J=" << j);
+      expect_estep_bit_equal(model, j, 9, 2);
+      for (int rank = 0; rank < 3; ++rank)
+        expect_estep_bit_equal(model, j, 9, 1,
+                               data::block_partition(1001, 3, rank));
+    }
+  }
 }
 
 // ---- EM-level: blocked update_parameters vs the blocked reference ----
@@ -662,6 +683,26 @@ TEST(ThreadInvariance, MixedModelWithIgnore) {
   expect_thread_invariant(Model(ld.dataset, std::move(specs)), 3, 205);
 }
 
+TEST(ThreadInvariance, PartialOddLastBlockAtBothLevels) {
+  // 1001 items: the last block (233 items) is partial and odd-sized.  The
+  // trajectory is the same at 1, 2 and 4 threads, and the same at both
+  // dispatch levels.
+  data::LabeledDataset ld = data::paper_dataset(1001, 47);
+  data::inject_missing(ld.dataset, 0.1, 17);
+  const Model model = Model::default_model(ld.dataset);
+  std::vector<ThreadRun> per_level;
+  for (const simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
+    const simd::ScopedForceLevel pin(level);
+    SCOPED_TRACE(simd::to_string(level));
+    expect_thread_invariant(model, 5, 206);
+    per_level.push_back(run_with_threads(model, 5, 206, 1));
+  }
+  expect_bit_identical(per_level[1].weights, per_level[0].weights);
+  expect_bit_identical(per_level[1].params, per_level[0].params);
+  ASSERT_EQ(per_level[1].log_likelihood, per_level[0].log_likelihood);
+  ASSERT_EQ(per_level[1].labels, per_level[0].labels);
+}
+
 TEST(ThreadInvariance, EnvVariableMatchesExplicitConfig) {
   // EmConfig::threads = 0 reads PAC_EM_THREADS; the trajectory must match
   // the same count requested explicitly.
@@ -711,7 +752,7 @@ void poison_symbol_one(Classification& c, Poison poison) {
 /// `item`: its least-impossible class in the raw log-joint row.
 std::string best_class_clause(const Classification& c, std::size_t item) {
   std::vector<double> row(c.num_classes());
-  fill_log_joint(c, data::ItemRange{item, item + 1}, row.data());
+  fill_log_joint(c, data::ItemRange{item, item + 1}, row.data(), 1);
   std::size_t best = 0;
   for (std::size_t k = 1; k < row.size(); ++k)
     if (row[k] > row[best]) best = k;
@@ -771,7 +812,7 @@ TEST(ReportKernels, MembershipMatchesScalarJoint) {
   worker.random_init(c, 47, 0, config);
   worker.converge(c, config);
   for (std::size_t i = 0; i < 300; i += 13) {
-    // Per-item joint row, normalized by the one shared row normalizer.
+    // Per-item joint row, normalized by the one shared normalizer.
     std::vector<double> row(3);
     for (std::size_t k = 0; k < 3; ++k) {
       double lp = c.log_pi(k);
@@ -780,7 +821,7 @@ TEST(ReportKernels, MembershipMatchesScalarJoint) {
       row[k] = lp;
     }
     double lse = 0.0;
-    ASSERT_EQ(simd::normalize_rows(row.data(), 1, 3, &lse), 1u);
+    ASSERT_EQ(simd::normalize_columns(row.data(), 1, 3, 1, &lse), 1u);
     const auto m = membership(c, i);
     expect_bit_identical(m, row);
   }
@@ -869,7 +910,7 @@ TEST(DegenerateRow, PredictPathsKeepLabelsAndDoNotThrow) {
       PredictOutput out;
       ASSERT_NO_THROW(out = predict(c, d, /*want_membership=*/true));
       std::vector<double> raw(pc.j);
-      fill_log_joint(c, data::ItemRange{4, 5}, raw.data());
+      fill_log_joint(c, data::ItemRange{4, 5}, raw.data(), 1);
       EXPECT_EQ(out.labels[4],
                 std::max_element(raw.begin(), raw.end()) - raw.begin());
       EXPECT_EQ(out.labels, assign_labels(c));

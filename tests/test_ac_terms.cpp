@@ -310,7 +310,8 @@ TEST(MultiNormal, WidthLimitCheckedAtConstruction) {
   auto reals = [](std::size_t dim) {
     std::vector<Attribute> attrs;
     for (std::size_t a = 0; a < dim; ++a)
-      attrs.push_back(Attribute::real("x" + std::to_string(a), 0.01));
+      attrs.push_back(
+          Attribute::real(std::string("x").append(std::to_string(a)), 0.01));
     Dataset d(Schema(std::move(attrs)), 40);
     Xoshiro256ss rng(7);
     for (std::size_t i = 0; i < 40; ++i)

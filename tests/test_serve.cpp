@@ -260,7 +260,7 @@ TEST(Predictor, MatchesOfflinePredictionHelpers) {
 
   // Independent reference: per item, one-item log_prob_batch calls of the
   // model rebound to the probe rows, summed as log pi then terms in index
-  // order, then normalized with the shared row normalizer.
+  // order, then normalized with the shared normalizer.
   const ac::Model on_probe = model.rebound(probe);
   const std::size_t j = c.num_classes();
   ASSERT_EQ(out.labels.size(), probe.num_items());
@@ -277,7 +277,7 @@ TEST(Predictor, MatchesOfflinePredictionHelpers) {
               std::max_element(row.begin(), row.end()) - row.begin())
         << "row " << i;
     double lse = 0.0;
-    ASSERT_EQ(simd::normalize_rows(row.data(), 1, j, &lse), 1u);
+    ASSERT_EQ(simd::normalize_columns(row.data(), 1, j, 1, &lse), 1u);
     for (std::size_t k = 0; k < j; ++k)
       EXPECT_EQ(0, std::memcmp(&out.membership[i * j + k], &row[k],
                                sizeof(double)))

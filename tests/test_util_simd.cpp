@@ -1,10 +1,11 @@
-// The deterministic math of util/simd.hpp: det_exp, det_log and the row
-// normalizer shared by the E-step, the reports and prediction.  Their
-// contract (DESIGN.md §5) is bit-level: the same bits at every dispatch
-// level and on every libm.  So these tests pin committed hexfloat goldens,
-// compare the forced-scalar reference with the detected level by memcmp,
-// and bound the distance to glibc in ulps.  The LogSumExp suites pin the
-// normalizer's lse output, which replaced util/math's logsumexp.
+// The deterministic math of util/simd.hpp: det_exp, det_log and the
+// class-major tile kernels shared by the E-step, the reports and
+// prediction.  Their contract (DESIGN.md §5) is bit-level: the same bits at
+// every dispatch level and on every libm.  So these tests pin committed
+// hexfloat goldens, compare the forced-scalar reference with the detected
+// level by memcmp, and bound the distance to glibc in ulps.  The LogSumExp
+// suites pin the normalizer's lse output, which replaced util/math's
+// logsumexp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -233,7 +234,7 @@ TEST(SimdLog, WithinOneUlpOfLibm) {
         << std::log(x[i]);
 }
 
-// ---- the row normalizer ----
+// ---- the class-major normalizer ----
 
 /// Test-side sequential logsumexp over libm: the independent reference.
 double reference_lse(std::span<const double> row) {
@@ -259,6 +260,28 @@ std::vector<double> random_rows(std::size_t rows, std::size_t j,
   return v;
 }
 
+/// Value of the ld - n padding slots of every test tile column: the
+/// normalizer must leave them alone.
+constexpr double kPad = 42.0;
+
+/// The class-major tile of the row-major `rows` (n x j): class k's column
+/// at k * ld, padded with kPad.
+std::vector<double> to_tile(std::span<const double> rows, std::size_t n,
+                            std::size_t j, std::size_t ld) {
+  std::vector<double> tile(j * ld, kPad);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t k = 0; k < j; ++k) tile[k * ld + r] = rows[r * j + k];
+  return tile;
+}
+
+/// Item r of a class-major tile, as a row.
+std::vector<double> item_row(std::span<const double> tile, std::size_t r,
+                             std::size_t j, std::size_t ld) {
+  std::vector<double> row(j);
+  for (std::size_t k = 0; k < j; ++k) row[k] = tile[k * ld + r];
+  return row;
+}
+
 TEST(NormalizeKernel, RowsSumToOneAndLseMatchesReferenceForEveryJ) {
   for (std::size_t j = 1; j <= 33; ++j) {
     const std::size_t n = 37;
@@ -267,24 +290,24 @@ TEST(NormalizeKernel, RowsSumToOneAndLseMatchesReferenceForEveryJ) {
     std::vector<std::vector<double>> lses;
     for (const Level level : kLevels) {
       const ScopedForceLevel pin(level);
-      std::vector<double> rows = input;
+      std::vector<double> tile = to_tile(input, n, j, n);
       std::vector<double> lse(n);
-      ASSERT_EQ(normalize_rows(rows.data(), n, j, lse.data()), n);
+      ASSERT_EQ(normalize_columns(tile.data(), n, j, n, lse.data()), n);
       for (std::size_t r = 0; r < n; ++r) {
         double sum = 0.0;
         for (std::size_t k = 0; k < j; ++k) {
-          const double w = rows[r * j + k];
+          const double w = tile[k * n + r];
           ASSERT_GE(w, 0.0);
           ASSERT_LE(w, 1.0);
           sum += w;
         }
-        ASSERT_NEAR(sum, 1.0, 1e-15) << "J=" << j << " row " << r;
+        ASSERT_NEAR(sum, 1.0, 1e-15) << "J=" << j << " item " << r;
         const double ref =
             reference_lse({input.data() + r * j, j});
         ASSERT_LE(std::abs(lse[r] - ref), 1e-13 * std::max(1.0, std::abs(ref)))
-            << "J=" << j << " row " << r;
+            << "J=" << j << " item " << r;
       }
-      out.push_back(rows);
+      out.push_back(tile);
       lses.push_back(lse);
     }
     expect_same_bits(out[0], out[1]);
@@ -293,18 +316,24 @@ TEST(NormalizeKernel, RowsSumToOneAndLseMatchesReferenceForEveryJ) {
 }
 
 TEST(NormalizeKernel, EachRowDependsOnItselfAlone) {
-  // One call over 600 rows (past the 256-row chunk) equals 600 one-row
-  // calls: so the E-step's blocks, the report blocks and a single
-  // membership() row all produce the same bits.
-  const std::size_t n = 600, j = 7;
-  std::vector<double> block = random_rows(n, j, 7);
-  std::vector<double> single = block;
-  std::vector<double> block_lse(n), single_lse(n);
-  ASSERT_EQ(normalize_rows(block.data(), n, j, block_lse.data()), n);
-  for (std::size_t r = 0; r < n; ++r)
-    ASSERT_EQ(normalize_rows(single.data() + r * j, 1, j, &single_lse[r]), 1u);
-  expect_same_bits(block, single);
-  expect_same_bits(block_lse, single_lse);
+  // One call over a 600-item tile (ld > n) equals 600 one-item calls on
+  // the items' own rows (n = ld = 1): so the E-step's tiles, the report
+  // tiles and a single membership() row all produce the same bits.
+  const std::size_t n = 600, j = 7, ld = 613;
+  const std::vector<double> rows = random_rows(n, j, 7);
+  for (const Level level : kLevels) {
+    const ScopedForceLevel pin(level);
+    std::vector<double> tile = to_tile(rows, n, j, ld);
+    std::vector<double> single = rows;
+    std::vector<double> tile_lse(n), single_lse(n);
+    ASSERT_EQ(normalize_columns(tile.data(), n, j, ld, tile_lse.data()), n);
+    for (std::size_t r = 0; r < n; ++r)
+      ASSERT_EQ(normalize_columns(single.data() + r * j, 1, j, 1,
+                                  &single_lse[r]),
+                1u);
+    expect_same_bits(tile, to_tile(single, n, j, ld));
+    expect_same_bits(tile_lse, single_lse);
+  }
 }
 
 TEST(NormalizeKernel, MaxClassGetsExactlyOneOverSum) {
@@ -313,7 +342,7 @@ TEST(NormalizeKernel, MaxClassGetsExactlyOneOverSum) {
   const double row_in[] = {-3.0, -1.0, -2.5, -1.0 - 1e-9, -7.0};
   std::vector<double> row(std::begin(row_in), std::end(row_in));
   double lse = 0.0;
-  ASSERT_EQ(normalize_rows(row.data(), 1, row.size(), &lse), 1u);
+  ASSERT_EQ(normalize_columns(row.data(), 1, row.size(), 1, &lse), 1u);
   double e[5];
   for (int k = 0; k < 5; ++k) e[k] = row_in[k] - (-1.0);
   det_exp(e, e, 5);
@@ -321,6 +350,45 @@ TEST(NormalizeKernel, MaxClassGetsExactlyOneOverSum) {
   for (const double v : e) s += v;
   EXPECT_EQ(row[1], 1.0 / s);
   EXPECT_EQ(*std::max_element(row.begin(), row.end()), row[1]);
+}
+
+TEST(NormalizeKernel, TileShapesMatchPortableAndOneItemCalls) {
+  // Every J of the ladder, item counts on both sides of the 4-item lane
+  // groups (and of a 256-item block), tiles with ld == n and ld > n: the
+  // vector level is memcmp-equal to the portable body (tile, padding and
+  // lse), and every item equals a one-item call on its own row.
+  for (const std::size_t j : {1, 2, 3, 4, 5, 8, 31}) {
+    for (const std::size_t n : {1, 2, 3, 4, 5, 6, 7, 9, 255, 256, 257}) {
+      for (const std::size_t ld : {n, n + 3}) {
+        SCOPED_TRACE(testing::Message()
+                     << "J=" << j << " n=" << n << " ld=" << ld);
+        const std::vector<double> rows = random_rows(n, j, 7 * j + n);
+        std::vector<std::vector<double>> tiles, lses;
+        for (const Level level : kLevels) {
+          const ScopedForceLevel pin(level);
+          std::vector<double> tile = to_tile(rows, n, j, ld);
+          std::vector<double> lse(n + 1, kPad);
+          ASSERT_EQ(normalize_columns(tile.data(), n, j, ld, lse.data()), n);
+          EXPECT_EQ(lse[n], kPad);
+          tiles.push_back(tile);
+          lses.push_back(lse);
+        }
+        expect_same_bits(tiles[0], tiles[1]);
+        expect_same_bits(lses[0], lses[1]);
+        for (std::size_t k = 0; k < j; ++k)
+          for (std::size_t r = n; r < ld; ++r)
+            ASSERT_EQ(tiles[1][k * ld + r], kPad);
+        for (std::size_t r = 0; r < n; ++r) {
+          std::vector<double> row(rows.begin() + r * j,
+                                  rows.begin() + (r + 1) * j);
+          double lse = 0.0;
+          ASSERT_EQ(normalize_columns(row.data(), 1, j, 1, &lse), 1u);
+          expect_same_bits(item_row(tiles[1], r, j, ld), row);
+          ASSERT_TRUE(same_bits(lses[1][r], lse)) << "item " << r;
+        }
+      }
+    }
+  }
 }
 
 /// Degenerate-row inputs: a NaN in the middle, a +inf entry, an all -inf
@@ -334,34 +402,84 @@ std::vector<std::vector<double>> degenerate_rows() {
   };
 }
 
-TEST(NormalizeKernel, DegenerateRowStopsTheBlockBeforeItIsTouched) {
-  const std::size_t j = 5, n = 9, bad = 6;
-  for (const std::vector<double>& poison : degenerate_rows()) {
-    std::vector<double> input = random_rows(n, j, 31);
-    std::copy(poison.begin(), poison.end(), input.begin() + bad * j);
-    for (const Level level : kLevels) {
-      const ScopedForceLevel pin(level);
-      std::vector<double> rows = input;
-      std::vector<double> lse(n, 42.0);
-      ASSERT_EQ(normalize_rows(rows.data(), n, j, lse.data()), bad);
-      // The prefix is normalized exactly as it would be on its own...
-      std::vector<double> prefix(input.begin(), input.begin() + bad * j);
-      std::vector<double> prefix_lse(bad);
-      ASSERT_EQ(normalize_rows(prefix.data(), bad, j, prefix_lse.data()), bad);
-      expect_same_bits({rows.data(), bad * j}, prefix);
-      expect_same_bits({lse.data(), bad}, prefix_lse);
-      // ...and the degenerate row and everything after it are untouched.
-      expect_same_bits({rows.data() + bad * j, (n - bad) * j},
-                       {input.data() + bad * j, (n - bad) * j});
-      for (std::size_t r = bad; r < n; ++r) EXPECT_EQ(lse[r], 42.0);
+/// Plants `poison` as item `bad` of a random n-item J=5 tile (ld = n + 2)
+/// and checks, at every level, that the normalizer returns `bad` with the
+/// prefix normalized exactly as on its own and the degenerate item, every
+/// later item, the padding and lse[bad, n) untouched.
+void expect_stops_at(const std::vector<double>& poison, std::size_t n,
+                     std::size_t bad) {
+  const std::size_t j = 5, ld = n + 2;
+  std::vector<double> rows = random_rows(n, j, 31);
+  std::copy(poison.begin(), poison.end(), rows.begin() + bad * j);
+  const std::vector<double> input = to_tile(rows, n, j, ld);
+  for (const Level level : kLevels) {
+    const ScopedForceLevel pin(level);
+    SCOPED_TRACE(testing::Message() << "item " << bad << " of " << n << " "
+                                    << to_string(level));
+    std::vector<double> tile = input;
+    std::vector<double> lse(n, kPad);
+    ASSERT_EQ(normalize_columns(tile.data(), n, j, ld, lse.data()), bad);
+    // The prefix is normalized exactly as it would be on its own...
+    std::vector<double> prefix = input;
+    std::vector<double> prefix_lse(bad);
+    ASSERT_EQ(normalize_columns(prefix.data(), bad, j, ld, prefix_lse.data()),
+              bad);
+    expect_same_bits({lse.data(), bad}, prefix_lse);
+    for (std::size_t k = 0; k < j; ++k) {
+      expect_same_bits({tile.data() + k * ld, bad},
+                       {prefix.data() + k * ld, bad});
+      // ...and the degenerate item and everything after it are untouched.
+      expect_same_bits({tile.data() + k * ld + bad, ld - bad},
+                       {input.data() + k * ld + bad, ld - bad});
     }
+    for (std::size_t r = bad; r < n; ++r) EXPECT_EQ(lse[r], kPad);
   }
+}
+
+TEST(NormalizeKernel, DegenerateRowStopsTheBlockBeforeItIsTouched) {
+  for (const std::vector<double>& poison : degenerate_rows())
+    expect_stops_at(poison, 9, 6);
+}
+
+TEST(NormalizeKernel, DegenerateItemAtEveryLaneAndInTheTail) {
+  // 11 items: two full 4-item lane groups and a 3-item tail, so the bad
+  // item sits at each lane position 0-3 and at each tail position.
+  for (const std::vector<double>& poison : degenerate_rows())
+    for (std::size_t bad = 0; bad < 11; ++bad) expect_stops_at(poison, 11, bad);
 }
 
 TEST(NormalizeKernel, EmptyBlockIsANoOp) {
   double lse = 42.0;
-  EXPECT_EQ(normalize_rows(nullptr, 0, 4, &lse), 0u);
+  EXPECT_EQ(normalize_columns(nullptr, 0, 4, 0, &lse), 0u);
   EXPECT_EQ(lse, 42.0);
+}
+
+TEST(TileKernel, ColumnsToRowsTransposesAndFoldsInItemOrder) {
+  // rows = the transpose; sums[k] += the column in item order, the
+  // E-step's W_j fold, with no reassociation at any level.
+  for (const std::size_t j : {1, 3, 4, 5, 8, 31}) {
+    for (const std::size_t n : {1, 3, 4, 7, 128, 256}) {
+      SCOPED_TRACE(testing::Message() << "J=" << j << " n=" << n);
+      const std::size_t ld = n + 1;
+      const std::vector<double> rows = random_rows(n, j, 3 * j + n);
+      std::vector<double> tile = to_tile(rows, n, j, ld);
+      for (double& v : tile) v = std::isinf(v) ? 0.5 : std::exp(v / 1000.0);
+      std::vector<double> ref_sums(j, 0.25);
+      for (std::size_t k = 0; k < j; ++k)
+        for (std::size_t r = 0; r < n; ++r) ref_sums[k] += tile[k * ld + r];
+      for (const Level level : kLevels) {
+        const ScopedForceLevel pin(level);
+        std::vector<double> out(n * j, -1.0), sums(j, 0.25);
+        columns_to_rows(tile.data(), n, j, ld, out.data(), sums.data());
+        for (std::size_t r = 0; r < n; ++r)
+          expect_same_bits({out.data() + r * j, j}, item_row(tile, r, j, ld));
+        expect_same_bits(sums, ref_sums);
+        std::vector<double> bare(n * j, -1.0);
+        columns_to_rows(tile.data(), n, j, ld, bare.data(), nullptr);
+        expect_same_bits(bare, out);
+      }
+    }
+  }
 }
 
 // ---- LogSumExp: the normalizer's lse output ----
@@ -370,7 +488,7 @@ TEST(NormalizeKernel, EmptyBlockIsANoOp) {
 /// refused (the row then has no finite log-sum-exp).
 double row_lse(std::vector<double> row, bool* degenerate = nullptr) {
   double lse = 0.0;
-  const bool ok = normalize_rows(row.data(), 1, row.size(), &lse) == 1;
+  const bool ok = normalize_columns(row.data(), 1, row.size(), 1, &lse) == 1;
   if (degenerate != nullptr) *degenerate = !ok;
   return ok ? lse : -kInf;
 }
