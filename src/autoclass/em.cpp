@@ -4,6 +4,7 @@
 #include <cmath>
 #include <exception>
 #include <limits>
+#include <mutex>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -23,21 +24,61 @@ constexpr std::uint64_t kInitStream = 0x1A17;
 /// exhausted; offset far past any plausible try_index so the two purpose
 /// stream families never overlap.
 constexpr std::uint64_t kSeedFallbackStream = kInitStream + (1ULL << 32);
-
-/// Number of kEStepBlock blocks covering [begin, end).
-std::size_t block_count(std::size_t begin, std::size_t end) {
-  return (end - begin + kEStepBlock - 1) / kEStepBlock;
-}
-
-/// The b-th block of [begin, end).
-data::ItemRange block_range(std::size_t begin, std::size_t end,
-                            std::size_t b) {
-  const std::size_t lo = begin + b * kEStepBlock;
-  return data::ItemRange{lo, std::min(lo + kEStepBlock, end)};
-}
 }  // namespace
 
+BlockRunner::BlockRunner(std::size_t threads, std::size_t chunk_rows)
+    : threads_(std::max<std::size_t>(threads, 1)), chunk_rows_(chunk_rows) {}
+
+BlockRunner::~BlockRunner() = default;
+
+void BlockRunner::set_threads(std::size_t threads) {
+  threads = std::max<std::size_t>(threads, 1);
+  if (threads != threads_) pool_.reset();
+  threads_ = threads;
+}
+
+void BlockRunner::run(
+    data::ItemRange range,
+    const std::function<void(std::size_t, data::ItemRange)>& fn) {
+  const std::size_t blocks = block_count(range);
+  std::mutex error_mutex;
+  std::size_t error_block = blocks;
+  std::exception_ptr error;
+  const auto run_block = [&](std::size_t b) {
+    const std::size_t lo = range.begin + b * kEStepBlock;
+    try {
+      fn(b, data::ItemRange{lo, std::min(lo + kEStepBlock, range.end)});
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (b < error_block) {
+        error_block = b;
+        error = std::current_exception();
+      }
+    }
+  };
+  const std::size_t run = std::max<std::size_t>(
+      1, std::min(chunk_rows_ / kEStepBlock,
+                  (blocks + threads_ - 1) / threads_));
+  const std::size_t runs = (blocks + run - 1) / run;
+  if (threads_ == 1 || runs <= 1) {
+    for (std::size_t b = 0; b < blocks; ++b) run_block(b);
+  } else {
+    if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(threads_);
+    pool_->run(runs, [&](std::size_t r) {
+      const std::size_t end = std::min(blocks, (r + 1) * run);
+      for (std::size_t b = r * run; b < end; ++b) run_block(b);
+    });
+  }
+  if (error) std::rethrow_exception(error);
+}
+
 namespace detail {
+
+double* tile_scratch(std::size_t doubles) {
+  thread_local std::vector<double> tile;
+  if (tile.size() < doubles) tile.resize(doubles);
+  return tile.data();
+}
 
 std::vector<std::size_t> draw_seed_items(const CounterRng& rng, std::size_t n,
                                          std::size_t j,
@@ -101,30 +142,19 @@ EmWorker::EmWorker(const Model& model, data::ItemRange range,
       data_(&model.dataset()),
       range_(range),
       reducer_(&reducer),
-      partition_params_(partition_params) {
+      partition_params_(partition_params),
+      runner_(1, data_->store().chunk_rows()) {
   PAC_REQUIRE(range.end <= data_->num_items());
 }
 
 EmWorker::~EmWorker() = default;
 
-void EmWorker::run_blocks(std::size_t blocks,
-                          const std::function<void(std::size_t)>& fn) {
-  if (pool_ == nullptr) {
-    for (std::size_t b = 0; b < blocks; ++b) fn(b);
-    return;
+void EmWorker::reshape_weights(std::size_t j) {
+  weights_size_ = range_.size() * j;
+  if (weights_size_ > weights_capacity_) {
+    weights_ = std::make_unique_for_overwrite<double[]>(weights_size_);
+    weights_capacity_ = weights_size_;
   }
-  // Threads claim runs of consecutive blocks spanning one storage chunk
-  // (single blocks on a resident store), so they load different chunks at
-  // the same time instead of queueing for one.  A run is at most a
-  // thread's share, so small partitions still spread over every thread.
-  // Which thread runs a block never changes its result.
-  const std::size_t run = std::max<std::size_t>(
-      1, std::min(data_->store().chunk_rows() / kEStepBlock,
-                  (blocks + threads_ - 1) / threads_));
-  pool_->run((blocks + run - 1) / run, [&](std::size_t r) {
-    const std::size_t end = std::min(blocks, (r + 1) * run);
-    for (std::size_t b = r * run; b < end; ++b) fn(b);
-  });
 }
 
 void EmWorker::random_init(Classification& c, std::uint64_t seed,
@@ -134,15 +164,10 @@ void EmWorker::random_init(Classification& c, std::uint64_t seed,
   PAC_TRACE_SCOPE(reducer_->recorder(), "em", "random_init");
   const std::size_t j = c.num_classes();
   num_classes_ = j;
-  weights_.assign(range_.size() * j, 0.0);
+  reshape_weights(j);
   if (!partition_params_)
     full_weights_.assign(data_->num_items() * j, 0.0);
-  threads_ = ThreadPool::resolve(config.threads);
-  if (threads_ <= 1) {
-    pool_.reset();
-  } else if (pool_ == nullptr || pool_->threads() != threads_) {
-    pool_ = std::make_unique<ThreadPool>(threads_);
-  }
+  runner_.set_threads(ThreadPool::resolve(config.threads));
 
   PAC_REQUIRE(config.init_hard_weight > 0.0 && config.init_hard_weight <= 1.0);
   const double rest =
@@ -181,50 +206,41 @@ void EmWorker::random_init(Classification& c, std::uint64_t seed,
   // on either storage backend.  Per (item, seed) the additions happen in
   // term order from 0.0 and the strict < argmin keeps the first minimum, so
   // the assignment is a pure function of the two rows and, like the
-  // E-step, of kEStepBlock, never of the thread count.
-  const std::size_t blocks = block_count(range_.begin, range_.end);
-  std::vector<std::exception_ptr> block_error(blocks);
-  run_blocks(blocks, [&](std::size_t b) {
-    const data::ItemRange block = block_range(range_.begin, range_.end, b);
-    try {
-      std::vector<double> dist(block.size() * j, 0.0);
+  // E-step, of kEStepBlock, never of the thread count.  Every row of
+  // weights_ is written here, by the thread that runs its block.
+  runner_.run(range_, [&](std::size_t, data::ItemRange block) {
+    std::vector<double> dist(block.size() * j, 0.0);
+    for (std::size_t k = 0; k < j; ++k) {
+      const double* seed_row = seed_table.data() + k * width;
+      for (std::size_t t = 0; t < model_->num_terms(); ++t) {
+        const Term& term = model_->term(t);
+        term.seed_distance_batch(
+            block, std::span<const double>(seed_row, term.num_attributes()),
+            dist.data() + k, j);
+        seed_row += term.num_attributes();
+      }
+    }
+    for (std::size_t r = 0; r < block.size(); ++r) {
+      const double* row_dist = dist.data() + r * j;
+      std::size_t home_class = 0;
+      double best = std::numeric_limits<double>::infinity();
       for (std::size_t k = 0; k < j; ++k) {
-        const double* seed_row = seed_table.data() + k * width;
-        for (std::size_t t = 0; t < model_->num_terms(); ++t) {
-          const Term& term = model_->term(t);
-          term.seed_distance_batch(
-              block, std::span<const double>(seed_row, term.num_attributes()),
-              dist.data() + k, j);
-          seed_row += term.num_attributes();
+        if (row_dist[k] < best) {
+          best = row_dist[k];
+          home_class = k;
         }
       }
-      for (std::size_t r = 0; r < block.size(); ++r) {
-        const double* row_dist = dist.data() + r * j;
-        std::size_t home_class = 0;
-        double best = std::numeric_limits<double>::infinity();
-        for (std::size_t k = 0; k < j; ++k) {
-          if (row_dist[k] < best) {
-            best = row_dist[k];
-            home_class = k;
-          }
-        }
-        double* row =
-            weights_.data() + (block.begin - range_.begin + r) * j;
-        for (std::size_t k = 0; k < j; ++k) row[k] = rest;
-        row[home_class] = home;
-      }
-    } catch (...) {
-      block_error[b] = std::current_exception();
+      double* row = weights_.get() + (block.begin - range_.begin + r) * j;
+      for (std::size_t k = 0; k < j; ++k) row[k] = rest;
+      row[home_class] = home;
     }
   });
-  for (std::size_t b = 0; b < blocks; ++b)
-    if (block_error[b]) std::rethrow_exception(block_error[b]);
 
   // W_j fold in plain item order over the filled rows — the same sequential
   // additions the old per-item loop performed.
   std::vector<double> wj_and_loglike(j + 1, 0.0);
   for (std::size_t r = 0; r < range_.size(); ++r) {
-    const double* row = weights_.data() + r * j;
+    const double* row = weights_.get() + r * j;
     for (std::size_t k = 0; k < j; ++k) wj_and_loglike[k] += row[k];
   }
   reducer_->charge(PhaseWork{Phase::kTryOverhead, range_.size(), j, 0});
@@ -233,7 +249,7 @@ void EmWorker::random_init(Classification& c, std::uint64_t seed,
   if (!partition_params_) {
     // The WtsOnly baseline's first M-step scans the whole dataset, so the
     // initial weights must be assembled globally as well.
-    reducer_->gather_weight_matrix(std::span<const double>(weights_),
+    reducer_->gather_weight_matrix(local_weights(),
                                    std::span<double>(full_weights_), range_,
                                    j);
   }
@@ -263,14 +279,6 @@ DegenerateRowError degenerate_row_error(std::size_t global_item,
   return DegenerateRowError(os.str(), global_item, j);
 }
 
-/// This thread's E-step tile: a heap buffer of at least `doubles` values,
-/// reused across blocks, cycles and workers.
-double* tile_scratch(std::size_t doubles) {
-  thread_local std::vector<double> tile;
-  if (tile.size() < doubles) tile.resize(doubles);
-  return tile.data();
-}
-
 }  // namespace
 
 double EmWorker::update_wts(Classification& c) {
@@ -278,43 +286,35 @@ double EmWorker::update_wts(Classification& c) {
   PAC_CHECK(&c.model() == model_);
   const std::size_t j = c.num_classes();
   PAC_CHECK_MSG(j == num_classes_, "call random_init before update_wts");
-  const std::size_t blocks = block_count(range_.begin, range_.end);
+  const std::size_t blocks = block_count(range_);
 
   // Per-block partials: one W_j row and one compensated log-likelihood per
-  // block, plus the block's deferred error.  Blocks are claimed by whatever
-  // thread is free; determinism comes from the block-ordered fold below.
+  // block.  Blocks are claimed by whatever thread is free; determinism
+  // comes from the block-ordered fold below, and the runner rethrows the
+  // lowest-indexed block's error whatever thread hit it.
   std::vector<double> block_wj(blocks * j, 0.0);
   std::vector<KahanSum> block_loglike(blocks);
-  std::vector<std::exception_ptr> block_error(blocks);
-  run_blocks(blocks, [&](std::size_t b) {
-    const data::ItemRange block = block_range(range_.begin, range_.end, b);
-    try {
-      // Class-major tile (column k at tile + k * kEStepBlock): unit-stride
-      // fill and normalization, then one transpose into the row-major
-      // weights_ fused with the block's per-class W_j fold in item order.
-      double* tile = tile_scratch(kEStepBlock * j);
-      fill_log_joint(c, block, tile, kEStepBlock);
-      double lse[kEStepBlock];
-      const std::size_t bad =
-          simd::normalize_columns(tile, block.size(), j, kEStepBlock, lse);
-      if (bad < block.size())
-        throw degenerate_row_error(block.begin + bad, tile + bad, j,
-                                   kEStepBlock);
-      double* rows = weights_.data() + (block.begin - range_.begin) * j;
-      simd::columns_to_rows(tile, block.size(), j, kEStepBlock, rows,
-                            block_wj.data() + b * j);
-      for (std::size_t r = 0; r < block.size(); ++r)
-        block_loglike[b].add(lse[r]);
-    } catch (...) {
-      block_error[b] = std::current_exception();
-    }
+  runner_.run(range_, [&](std::size_t b, data::ItemRange block) {
+    // Class-major tile (column k at tile + k * kEStepBlock): unit-stride
+    // fill and normalization, then one transpose into the row-major
+    // weights_ fused with the block's per-class W_j fold in item order.
+    double* tile = detail::tile_scratch(kEStepBlock * j);
+    fill_log_joint(c, block, tile, kEStepBlock);
+    double lse[kEStepBlock];
+    const std::size_t bad =
+        simd::normalize_columns(tile, block.size(), j, kEStepBlock, lse);
+    if (bad < block.size())
+      throw degenerate_row_error(block.begin + bad, tile + bad, j,
+                                 kEStepBlock);
+    double* rows = weights_.get() + (block.begin - range_.begin) * j;
+    simd::columns_to_rows(tile, block.size(), j, kEStepBlock, rows,
+                          block_wj.data() + b * j);
+    for (std::size_t r = 0; r < block.size(); ++r)
+      block_loglike[b].add(lse[r]);
   });
 
-  // Block-ordered fold: the lowest-indexed block error wins (whatever
-  // thread hit it), then W_j and the log-likelihood fold block by block —
-  // a pure function of kEStepBlock, bit-identical for any thread count.
-  for (std::size_t b = 0; b < blocks; ++b)
-    if (block_error[b]) std::rethrow_exception(block_error[b]);
+  // Block-ordered fold: W_j and the log-likelihood fold block by block — a
+  // pure function of kEStepBlock, bit-identical for any thread count.
   std::vector<double> wj_and_loglike(j + 1, 0.0);
   KahanSum loglike;
   for (std::size_t b = 0; b < blocks; ++b) {
@@ -337,8 +337,7 @@ double EmWorker::update_wts(Classification& c) {
     // WtsOnly baseline: every rank needs the whole weight matrix because it
     // will recompute the parameters over the entire dataset.
     reducer_->gather_weight_matrix(
-        std::span<const double>(weights_),
-        std::span<double>(full_weights_), range_, j);
+        local_weights(), std::span<double>(full_weights_), range_, j);
   }
   return c.log_likelihood;
 }
@@ -349,15 +348,15 @@ void EmWorker::accumulate_statistics(const Classification& c) {
   const bool full = !partition_params_;
   const std::size_t begin = full ? 0 : range_.begin;
   const std::size_t end = full ? data_->num_items() : range_.end;
-  const double* weights = full ? full_weights_.data() : weights_.data();
+  const double* weights = full ? full_weights_.data() : weights_.get();
   const std::size_t weight_base = full ? 0 : range_.begin;
 
   // Per-block J x stats_per_class partials, folded below in block-index
   // order — the same determinism structure as the E-step.
-  const std::size_t blocks = block_count(begin, end);
+  const data::ItemRange range{begin, end};
+  const std::size_t blocks = block_count(range);
   block_stats_.assign(blocks * j * spc, 0.0);
-  run_blocks(blocks, [&](std::size_t b) {
-    const data::ItemRange block = block_range(begin, end, b);
+  runner_.run(range, [&](std::size_t b, data::ItemRange block) {
     const double* block_weights = weights + (block.begin - weight_base) * j;
     double* stats = block_stats_.data() + b * j * spc;
     // (class, term)-major: each Term::accumulate_batch call folds one
@@ -522,7 +521,7 @@ Classification EmWorker::prune_and_refit(const Classification& c,
   // weight reshape and survivor bookkeeping scan the rank's items once,
   // like random_init's setup pass.
   reducer_->charge(PhaseWork{Phase::kTryOverhead, range_.size(), num_classes_, 0});
-  weights_.assign(range_.size() * num_classes_, 0.0);
+  reshape_weights(num_classes_);  // update_wts below writes every value
   if (!partition_params_)
     full_weights_.assign(data_->num_items() * num_classes_, 0.0);
   update_wts(pruned);

@@ -18,10 +18,11 @@
 //
 // Inside a rank, the E- and M-step item loops are blocked (kEStepBlock
 // items) and may be work-shared across a small persistent ThreadPool
-// (EmConfig::threads / PAC_EM_THREADS).  Each block fills its own partial
-// accumulators, which the owner folds in block-index order — so every
-// result is a pure function of the block size, bit-identical across 1/2/N
-// threads and across both transport backends (DESIGN.md §5).
+// (EmConfig::threads / PAC_EM_THREADS) through BlockRunner, the same
+// helper the whole-training-set reports use.  Each block fills its own
+// partial accumulators, which the owner folds in block-index order — so
+// every result is a pure function of the block size, bit-identical across
+// 1/2/N threads and across both transport backends (DESIGN.md §5).
 #pragma once
 
 #include <cstdint>
@@ -52,6 +53,57 @@ namespace pac::ac {
 /// block-index order, so every EM result is a pure function of this
 /// constant and never of the thread count.
 inline constexpr std::size_t kEStepBlock = 256;
+
+/// Number of kEStepBlock blocks covering `range`.
+inline std::size_t block_count(data::ItemRange range) noexcept {
+  return (range.size() + kEStepBlock - 1) / kEStepBlock;
+}
+
+/// The block-run helper behind every pass over a range of items: the seed
+/// scan of random_init, the E- and M-steps, and the whole-training-set
+/// reports (assign_labels, mean_max_membership).  run() calls fn(b, block)
+/// for every kEStepBlock block of the range.  With more than one thread,
+/// threads claim runs of consecutive blocks spanning one storage chunk
+/// (single blocks on a resident store), so they load different chunks at
+/// the same time instead of queueing for one; a run is at most a thread's
+/// share, so small ranges still spread over every thread.  Callers write
+/// per-block partials and fold them in block-index order, so which thread
+/// ran a block never changes a result.  The pool is built by the first
+/// run() with more than one run of blocks to share, and never at one
+/// thread.
+class BlockRunner {
+ public:
+  /// `threads` is a resolved count (ThreadPool::resolve); 0 is taken as 1.
+  /// `chunk_rows` is the rows the store behind the ranges loads at a time
+  /// (ColumnStore::chunk_rows, 0 = resident).
+  BlockRunner(std::size_t threads, std::size_t chunk_rows);
+  ~BlockRunner();
+
+  BlockRunner(const BlockRunner&) = delete;
+  BlockRunner& operator=(const BlockRunner&) = delete;
+
+  /// Change the thread count; a pool of another size is dropped.
+  void set_threads(std::size_t threads);
+
+  /// Run fn(b, block) for every block b of `range`.  An exception from fn
+  /// is held per block while every other block still runs; after the join
+  /// the lowest-indexed block's exception is rethrown, whatever thread hit
+  /// it.
+  void run(data::ItemRange range,
+           const std::function<void(std::size_t, data::ItemRange)>& fn);
+
+ private:
+  std::size_t threads_ = 1;
+  std::size_t chunk_rows_ = 0;
+  std::unique_ptr<ThreadPool> pool_;  // built lazily, only when threads_ > 1
+};
+
+namespace detail {
+/// This thread's class-major block tile: a heap buffer of at least `doubles`
+/// values, reused across blocks, passes and callers (the E-step and the
+/// work-shared reports).
+double* tile_scratch(std::size_t doubles);
+}  // namespace detail
 
 /// E-step failure: an item's likelihood row has no finite maximum — -inf
 /// under *every* class (e.g. a zero-support multinomial symbol in an
@@ -239,7 +291,9 @@ class EmWorker {
 
   /// Local block of membership weights (range.size() x J, row-major) from
   /// the last update_wts / random_init.
-  std::span<const double> local_weights() const noexcept { return weights_; }
+  std::span<const double> local_weights() const noexcept {
+    return {weights_.get(), weights_size_};
+  }
 
   /// Global statistics matrix (J x stats_per_class) from the last
   /// update_parameters / random_init.
@@ -250,11 +304,11 @@ class EmWorker {
   /// partials folded in block-index order, so the result is invariant in
   /// the thread count.
   void accumulate_statistics(const Classification& c);
-  /// Run fn(b) for every block index in [0, blocks): through the pool, in
-  /// chunk-aligned runs of blocks, when one is configured; inline
-  /// otherwise.  fn must not throw.
-  void run_blocks(std::size_t blocks,
-                  const std::function<void(std::size_t)>& fn);
+  /// Size the local weight matrix to range.size() x j values, left
+  /// uninitialized: its one writer, the parallel block loop of random_init
+  /// or update_wts, writes every value, and so is also the first touch of
+  /// fresh pages.  Keeps the allocation when it is large enough.
+  void reshape_weights(std::size_t j);
 
   const Model* model_;
   const data::Dataset* data_;
@@ -263,12 +317,13 @@ class EmWorker {
   bool partition_params_;
 
   std::size_t num_classes_ = 0;
-  std::vector<double> weights_;      // local items x J
-  std::vector<double> full_weights_; // all items x J (WtsOnly only)
-  std::vector<double> stats_;        // J x stats_per_class
-  std::vector<double> block_stats_;  // per-block J x stats_per_class partials
-  std::size_t threads_ = 1;          // resolved at random_init
-  std::unique_ptr<ThreadPool> pool_; // non-null only when threads_ > 1
+  std::unique_ptr<double[]> weights_; // local items x J
+  std::size_t weights_size_ = 0;      // values in use
+  std::size_t weights_capacity_ = 0;  // values allocated
+  std::vector<double> full_weights_;  // all items x J (WtsOnly only)
+  std::vector<double> stats_;         // J x stats_per_class
+  std::vector<double> block_stats_;   // per-block J x stats_per_class partials
+  BlockRunner runner_;                // threads resolved at random_init
 };
 
 }  // namespace pac::ac

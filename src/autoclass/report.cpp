@@ -4,31 +4,50 @@
 #include <limits>
 #include <ostream>
 
+#include "autoclass/em.hpp"
 #include "util/error.hpp"
 #include "util/math.hpp"
 #include "util/simd.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pac::ac {
 
 namespace {
 
-/// Items per blocked report pass (matches the E-step's blocking), and the
-/// column stride of the report tile.
-constexpr std::size_t kReportBlock = 256;
-
-/// The blocked loop behind every report and prediction: fills the
-/// class-major log-joint tile of items [0, n) of c's dataset kReportBlock
-/// items at a time and hands each block to fn(block, tile), class k's
-/// block.size() mutable values starting at tile + k * kReportBlock.
+/// The serial blocked loop behind the case report and prediction: fills
+/// the class-major log-joint tile of items [0, n) of c's dataset
+/// kEStepBlock items at a time, in item order, and hands each block to
+/// fn(block, tile), class k's block.size() mutable values starting at
+/// tile + k * kEStepBlock.
 template <typename BlockFn>
 void for_each_log_joint_block(const Classification& c, std::size_t n,
                               BlockFn&& fn) {
-  std::vector<double> tile(kReportBlock * c.num_classes());
-  for (std::size_t begin = 0; begin < n; begin += kReportBlock) {
-    const data::ItemRange block{begin, std::min(begin + kReportBlock, n)};
-    fill_log_joint(c, block, tile.data(), kReportBlock);
+  std::vector<double> tile(kEStepBlock * c.num_classes());
+  for (std::size_t begin = 0; begin < n; begin += kEStepBlock) {
+    const data::ItemRange block{begin, std::min(begin + kEStepBlock, n)};
+    fill_log_joint(c, block, tile.data(), kEStepBlock);
     fn(block, tile.data());
   }
+}
+
+/// The work-shared loop behind the whole-training-set reports: every
+/// kEStepBlock block of c's dataset through a BlockRunner of
+/// ThreadPool::resolve(0) threads (EmConfig::threads = 0's resolution, so
+/// PAC_EM_THREADS), each block's log-joint filled into the running
+/// thread's own tile and handed to fn(b, block, tile) as above.  fn writes
+/// only block b's own outputs; partials are folded by the caller in block
+/// order.
+template <typename BlockFn>
+void for_each_training_block(const Classification& c, BlockFn&& fn) {
+  const data::Dataset& d = c.model().dataset();
+  const std::size_t j = c.num_classes();
+  BlockRunner runner(ThreadPool::resolve(0), d.store().chunk_rows());
+  runner.run(data::ItemRange{0, d.num_items()},
+             [&](std::size_t b, data::ItemRange block) {
+               double* tile = detail::tile_scratch(kEStepBlock * j);
+               fill_log_joint(c, block, tile, kEStepBlock);
+               fn(b, block, tile);
+             });
 }
 
 /// for_each_log_joint_block over a foreign dataset: c's parameters copied
@@ -49,7 +68,7 @@ void for_each_foreign_block(const Classification& c,
 std::int32_t argmax(const double* tile, std::size_t r, std::size_t j) {
   std::size_t best = 0;
   for (std::size_t k = 1; k < j; ++k)
-    if (tile[best * kReportBlock + r] < tile[k * kReportBlock + r]) best = k;
+    if (tile[best * kEStepBlock + r] < tile[k * kEStepBlock + r]) best = k;
   return static_cast<std::int32_t>(best);
 }
 
@@ -78,14 +97,14 @@ PredictOutput predict(const Classification& c, const data::Dataset& foreign,
   PredictOutput out;
   out.labels.resize(n);
   if (want_membership) out.membership.resize(n * j);
-  double lse[kReportBlock];
+  double lse[kEStepBlock];
   for_each_foreign_block(c, foreign, [&](data::ItemRange block, double* tile) {
     for (std::size_t r = 0; r < block.size(); ++r)
       out.labels[block.begin + r] = argmax(tile, r, j);
     if (want_membership) {
       // PredictOutput::membership is row-major: transpose the tile back.
-      normalize_block(tile, block.size(), j, kReportBlock, lse);
-      simd::columns_to_rows(tile, block.size(), j, kReportBlock,
+      normalize_block(tile, block.size(), j, kEStepBlock, lse);
+      simd::columns_to_rows(tile, block.size(), j, kEStepBlock,
                             out.membership.data() + block.begin * j, nullptr);
     }
   });
@@ -100,22 +119,22 @@ std::vector<std::int32_t> predict_labels(const Classification& c,
 double predict_log_likelihood(const Classification& c,
                               const data::Dataset& foreign) {
   KahanSum total;
-  double lse[kReportBlock];
+  double lse[kEStepBlock];
   for_each_foreign_block(c, foreign, [&](data::ItemRange block, double* tile) {
-    normalize_block(tile, block.size(), c.num_classes(), kReportBlock, lse);
+    normalize_block(tile, block.size(), c.num_classes(), kEStepBlock, lse);
     for (std::size_t r = 0; r < block.size(); ++r) total.add(lse[r]);
   });
   return total.value();
 }
 
 std::vector<std::int32_t> assign_labels(const Classification& c) {
-  const std::size_t n = c.model().dataset().num_items();
   const std::size_t j = c.num_classes();
-  std::vector<std::int32_t> labels(n);
-  for_each_log_joint_block(c, n, [&](data::ItemRange block, double* tile) {
-    for (std::size_t r = 0; r < block.size(); ++r)
-      labels[block.begin + r] = argmax(tile, r, j);
-  });
+  std::vector<std::int32_t> labels(c.model().dataset().num_items());
+  for_each_training_block(
+      c, [&](std::size_t, data::ItemRange block, const double* tile) {
+        for (std::size_t r = 0; r < block.size(); ++r)
+          labels[block.begin + r] = argmax(tile, r, j);
+      });
   return labels;
 }
 
@@ -151,11 +170,11 @@ void write_case_report(std::ostream& os, const Classification& c,
       max_items == 0 ? n : std::min(max_items, n);
   os << "# case report: item  best_class p(best)  second p(second)\n";
   const std::size_t classes = c.num_classes();
-  double lse[kReportBlock];
+  double lse[kEStepBlock];
   for_each_log_joint_block(c, limit, [&](data::ItemRange block, double* tile) {
-    normalize_block(tile, block.size(), classes, kReportBlock, lse);
+    normalize_block(tile, block.size(), classes, kEStepBlock, lse);
     for (std::size_t r = 0; r < block.size(); ++r) {
-      const auto m = [&](std::size_t k) { return tile[k * kReportBlock + r]; };
+      const auto m = [&](std::size_t k) { return tile[k * kEStepBlock + r]; };
       std::size_t best = 0;
       for (std::size_t j = 1; j < classes; ++j)
         if (m(j) > m(best)) best = j;
@@ -175,15 +194,20 @@ double mean_max_membership(const Classification& c) {
   const std::size_t n = c.model().dataset().num_items();
   PAC_REQUIRE(n > 0);
   const std::size_t j = c.num_classes();
+  // One compensated partial per block, folded in block-index order like
+  // update_wts's log-likelihood: the same value at every thread count.
+  std::vector<KahanSum> block_sums(block_count(data::ItemRange{0, n}));
+  for_each_training_block(
+      c, [&](std::size_t b, data::ItemRange block, double* tile) {
+        double lse[kEStepBlock];
+        normalize_block(tile, block.size(), j, kEStepBlock, lse);
+        // The normalized max is exp(0) / sum = 1 / sum, the item's largest
+        // membership (NaN for a degenerate item).
+        for (std::size_t r = 0; r < block.size(); ++r)
+          block_sums[b].add(tile[argmax(tile, r, j) * kEStepBlock + r]);
+      });
   KahanSum sum;
-  double lse[kReportBlock];
-  for_each_log_joint_block(c, n, [&](data::ItemRange block, double* tile) {
-    normalize_block(tile, block.size(), j, kReportBlock, lse);
-    // The normalized max is exp(0) / sum = 1 / sum, the item's largest
-    // membership (NaN for a degenerate item).
-    for (std::size_t r = 0; r < block.size(); ++r)
-      sum.add(tile[argmax(tile, r, j) * kReportBlock + r]);
-  });
+  for (const KahanSum& partial : block_sums) sum.add(partial.value());
   return sum.value() / static_cast<double>(n);
 }
 

@@ -4,6 +4,14 @@
 // fill_log_joint, the E-step's own class-major log-joint fill, and every
 // membership and log-likelihood from simd::normalize_columns, the E-step's
 // own normalizer.
+//
+// The whole-training-set passes (assign_labels, mean_max_membership, and so
+// print_report) are work-shared like the E-step: they run through the EM's
+// BlockRunner (em.hpp) with ThreadPool::resolve(0) threads, the resolution
+// of EmConfig::threads = 0 (PAC_EM_THREADS, default 1 = no pool), each
+// thread filling its own tile, and fold per-block partials in block-index
+// order, so their results do not depend on the thread count.
+// write_case_report and the prediction calls run serially in item order.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +23,7 @@
 namespace pac::ac {
 
 /// Hard class labels: argmax_j of the posterior membership of each item.
+/// Work-shared over PAC_EM_THREADS threads.
 std::vector<std::int32_t> assign_labels(const Classification& c);
 
 /// Posterior membership probabilities of one item (sums to 1).
@@ -43,7 +52,12 @@ void write_case_report(std::ostream& os, const Classification& c,
 
 /// Classification quality diagnostic from the paper's Sec. 2: the mean of
 /// each item's maximum membership probability.  ~1 means well-separated
-/// classes; ~1/J means meaningless overlap.
+/// classes; ~1/J means meaningless overlap.  Work-shared over
+/// PAC_EM_THREADS threads: one compensated sum per 256-item block, the
+/// block sums folded in block-index order (like update_wts's
+/// log-likelihood; before, one compensated sum ran in item order, so the
+/// value may differ from older builds in its last bits).  Bit-identical
+/// across thread counts and storage backends.
 double mean_max_membership(const Classification& c);
 
 // ---- prediction (AutoClass's "predict" mode): apply a trained

@@ -2,7 +2,9 @@
 // convergence, pruning, parameter recovery, and missing-data handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <sstream>
 
@@ -46,6 +48,55 @@ TEST(EmWorker, RandomInitDependsOnTryIndex) {
   worker.random_init(c, 7, 0, EmConfig{});
   EXPECT_NE(a.weight(0), b.weight(0));   // different try, different init
   EXPECT_EQ(a.weight(0), c.weight(0));   // same try, identical init
+}
+
+TEST(EmWorker, RandomInitOverwritesEveryWeight) {
+  // random_init and prune_and_refit size the weight matrix without zeroing
+  // it, so the seed scan and update_wts must write every value.  One worker
+  // reused across tries at J 8 -> 3 -> 8, with a prune and refit after each
+  // try, must hold after every random_init exactly a fresh worker's
+  // weights, and after every refit rows that each sum to 1.
+  const data::LabeledDataset ld = data::paper_dataset(1001, 71);
+  const Model model = Model::default_model(ld.dataset);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    EmConfig config;
+    config.threads = threads;
+    config.max_cycles = 4;
+    Reducer identity;
+    EmWorker reused = whole_data_worker(model, identity);
+    std::uint64_t try_index = 0;
+    for (const std::size_t j : {8u, 3u, 8u}) {
+      SCOPED_TRACE(j);
+      Classification c(model, j);
+      reused.random_init(c, 19, try_index, config);
+      Reducer fresh_identity;
+      EmWorker fresh = whole_data_worker(model, fresh_identity);
+      Classification fresh_c(model, j);
+      fresh.random_init(fresh_c, 19, try_index, config);
+      const auto got = reused.local_weights();
+      const auto want = fresh.local_weights();
+      ASSERT_EQ(got.size(), 1001 * j);
+      ASSERT_EQ(want.size(), got.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size_bytes()), 0);
+
+      // Prune the lightest class, so the refit reshapes the matrix to J-1.
+      reused.converge(c, config);
+      EmConfig prune = config;
+      prune.min_class_weight =
+          *std::min_element(c.weights().begin(), c.weights().end()) + 1e-9;
+      const Classification pruned = reused.prune_and_refit(c, prune);
+      ASSERT_EQ(pruned.num_classes(), j - 1);
+      const auto refit = reused.local_weights();
+      ASSERT_EQ(refit.size(), 1001 * (j - 1));
+      for (std::size_t i = 0; i < 1001; ++i) {
+        const double* row = refit.data() + i * (j - 1);
+        EXPECT_NEAR(std::accumulate(row, row + j - 1, 0.0), 1.0, 1e-12)
+            << "item " << i;
+      }
+      ++try_index;
+    }
+  }
 }
 
 TEST(EmWorker, UpdateWtsProducesNormalizedMemberships) {

@@ -850,6 +850,33 @@ TEST(ReportKernels, AssignLabelsMatchesPerItemMembership) {
   }
 }
 
+TEST(ReportKernels, MeanMaxMembershipNearPerItemKahanSum) {
+  // mean_max_membership folds one compensated partial per block in block
+  // order; an item-ordered compensated sum over membership() may differ
+  // from it only in the last bits, at any thread count.
+  const data::LabeledDataset ld = data::paper_dataset(2001, 38);
+  const Model model = Model::default_model(ld.dataset);
+  Reducer identity;
+  EmWorker worker(model, data::ItemRange{0, 2001}, identity);
+  Classification c(model, 5);
+  EmConfig config;
+  config.max_cycles = 10;
+  worker.random_init(c, 51, 0, config);
+  worker.converge(c, config);
+  KahanSum per_item;
+  for (std::size_t i = 0; i < 2001; ++i) {
+    const auto m = membership(c, i);
+    per_item.add(*std::max_element(m.begin(), m.end()));
+  }
+  const double reference = per_item.value() / 2001.0;
+  for (const char* threads : {"1", "4"}) {
+    setenv("PAC_EM_THREADS", threads, 1);
+    EXPECT_NEAR(mean_max_membership(c), reference, 1e-14 * reference)
+        << threads << " threads";
+  }
+  unsetenv("PAC_EM_THREADS");
+}
+
 // ---- degenerate-row guard ----
 
 TEST(DegenerateRow, AllInfRowRaisesTypedErrorNamingItem) {

@@ -5,12 +5,15 @@
 // to force continuous eviction mid-E-step.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "autoclass/em.hpp"
+#include "autoclass/report.hpp"
 #include "autoclass/search.hpp"
 #include "data/format.hpp"
 #include "data/io.hpp"
@@ -142,6 +145,98 @@ TEST(OutOfCore, RandomInitReadsEachChunkOnce) {
     }
     expect_same_trajectory(init_weights(pair.resident, threads), chk,
                            "initial weights");
+  }
+}
+
+/// A classification of `model`'s data after a few one-thread EM cycles.
+ac::Classification fitted(const ac::Model& model, std::size_t j) {
+  ac::Reducer identity;
+  ac::EmWorker worker(model, data::ItemRange{0, model.dataset().num_items()},
+                      identity);
+  ac::Classification c(model, j);
+  ac::EmConfig config;
+  config.threads = 1;
+  worker.random_init(c, 515, 0, config);
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    worker.update_parameters(c);
+    worker.update_wts(c);
+  }
+  return c;
+}
+
+TEST(ThreadInvariance, ReportsMatchAtOneTwoFourThreads) {
+  // The whole-training-set reports share the EM's block runner and read
+  // PAC_EM_THREADS; their values must not depend on it, nor on the
+  // backend.  Every dataset ends in an odd partial block, and the ~4 KB
+  // budget is far below the column bytes, so chunks are evicted
+  // throughout each report pass.
+  for (const std::uint32_t chunk_rows : kGeometries) {
+    SCOPED_TRACE(chunk_rows);
+    const BackendPair pair(chunk_rows == 193 ? 1001 : 6001, 56, chunk_rows);
+    const ac::Model resident = ac::Model::default_model(pair.resident);
+    const ac::Model chunked = ac::Model::default_model(pair.chunked);
+    const ac::Classification rc = fitted(resident, 5);
+    const ac::Classification cc = fitted(chunked, 5);
+    const double mean_max = ac::mean_max_membership(rc);
+    const std::vector<std::int32_t> labels = ac::assign_labels(rc);
+    for (const char* threads : {"1", "2", "4"}) {
+      SCOPED_TRACE(threads);
+      setenv("PAC_EM_THREADS", threads, 1);
+      for (const ac::Classification* c : {&rc, &cc}) {
+        const double got = ac::mean_max_membership(*c);
+        EXPECT_EQ(std::memcmp(&got, &mean_max, sizeof got), 0)
+            << got << " vs " << mean_max;
+        EXPECT_EQ(ac::assign_labels(*c), labels);
+      }
+    }
+    unsetenv("PAC_EM_THREADS");
+  }
+}
+
+TEST(OutOfCore, ReportPassLoadsEachChunkOnce) {
+  // Chunks of 4 whole blocks, so a thread's run of blocks is one chunk, and
+  // twice as many chunks as threads (the last one partial).
+  constexpr std::uint32_t kChunkRows = 1024;
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kChunks = 2 * kThreads;
+  constexpr std::size_t kItems = kChunks * kChunkRows - 100;
+  constexpr std::size_t kChunkBytes = kChunkRows * sizeof(double);
+  const BackendPair pair(kItems, 57, kChunkRows);
+  const std::size_t columns = pair.resident.num_attributes();
+  const ac::Model model = ac::Model::default_model(pair.resident);
+  const ac::Classification c = fitted(model, 4);
+  const double resident_value = ac::mean_max_membership(c);
+
+  // One report pass over a freshly opened store, c's parameters bound to
+  // it: returns the pass's chunk loads.
+  const auto pass_loads = [&](std::size_t budget, const char* threads) {
+    const data::Dataset fresh(data::ChunkedStore::open(pair.path, budget));
+    const ac::Model bound_model = model.rebound(fresh);
+    ac::Classification bound(bound_model, c.num_classes());
+    std::ranges::copy(c.log_pis(), bound.mutable_log_pis().begin());
+    std::ranges::copy(c.all_params(), bound.all_params_mutable().begin());
+    const auto& store = dynamic_cast<const data::ChunkedStore&>(fresh.store());
+    setenv("PAC_EM_THREADS", threads, 1);
+    const std::size_t before = store.chunk_loads();
+    const double value = ac::mean_max_membership(bound);
+    const std::size_t loads = store.chunk_loads() - before;
+    unsetenv("PAC_EM_THREADS");
+    EXPECT_EQ(std::memcmp(&value, &resident_value, sizeof value), 0);
+    return loads;
+  };
+  // A budget of threads x columns chunks: the single-threaded pass loads
+  // every chunk exactly once while evicting.  (With 4 threads under this
+  // budget, a thread starting its next chunk can evict one that another
+  // thread still reads, which then loads again: 18 loads instead of 16 in
+  // most runs, a count that depends on thread timing.)
+  EXPECT_EQ(pass_loads(kThreads * columns * kChunkBytes, "1"),
+            kChunks * columns);
+  // A budget that holds every chunk: one pass loads each chunk once at 1
+  // and at 4 threads, single-flight sharing the loads that threads race on.
+  for (const char* threads : {"1", "4"}) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(pass_loads(kChunks * columns * kChunkBytes, threads),
+              kChunks * columns);
   }
 }
 

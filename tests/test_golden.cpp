@@ -10,6 +10,13 @@
 // parameter bytes.  Each fit runs at the forced-scalar level and at the
 // host's detected level against the same pins.
 //
+// The J=8 rungs reach what J=3 cannot: the 4-class AVX2 lanes of the
+// tile transpose and its W_j fold, and full 4-item x 8-class normalizer
+// groups.  They also pin the final classification's reports, the mean max
+// membership (hexfloat) and an FNV-1a hash of assign_labels, and run at
+// PAC_EM_THREADS 1 and 4, so the work-shared EM and report passes are
+// pinned as well.
+//
 // When a change moves the trajectories on purpose, the failure prints the
 // replacement pin for the fit, ready to paste over the old one; say so in
 // CHANGES.md.
@@ -18,6 +25,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <span>
 #include <string>
@@ -25,6 +33,7 @@
 #include <vector>
 
 #include "autoclass/em.hpp"
+#include "autoclass/report.hpp"
 #include "data/synth.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -37,6 +46,7 @@ using data::Dataset;
 using data::Schema;
 
 constexpr std::size_t kClasses = 3;
+constexpr std::size_t kLadderClasses = 8;
 constexpr int kCycles = 6;
 constexpr std::uint64_t kSeed = 2026;
 
@@ -46,7 +56,14 @@ struct Golden {
   std::uint64_t params_hash;
 };
 
-std::uint64_t fnv1a(std::span<const double> values) {
+/// The reports of a fit's final classification.
+struct ReportPin {
+  double mean_max_membership;
+  std::uint64_t labels_hash;  // FNV-1a of assign_labels' bytes
+};
+
+template <typename T>
+std::uint64_t fnv1a(std::span<const T> values) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
   for (std::size_t i = 0; i < values.size_bytes(); ++i) {
@@ -56,11 +73,14 @@ std::uint64_t fnv1a(std::span<const double> values) {
   return h;
 }
 
-Golden fit(const Model& model) {
+/// The fit at J = `classes`; fills `report` from the final classification
+/// when it is given.
+Golden fit(const Model& model, std::size_t classes = kClasses,
+           ReportPin* report = nullptr) {
   Reducer identity;
   EmWorker worker(model, data::ItemRange{0, model.dataset().num_items()},
                   identity);
-  Classification c(model, kClasses);
+  Classification c(model, classes);
   worker.random_init(c, kSeed, 0, EmConfig{});
   Golden g{};
   for (int cycle = 0; cycle < kCycles; ++cycle) {
@@ -71,6 +91,11 @@ Golden fit(const Model& model) {
     g.cs_score[cycle] = c.cs_score;
   }
   g.params_hash = fnv1a(c.all_params());
+  if (report != nullptr) {
+    report->mean_max_membership = mean_max_membership(c);
+    const std::vector<std::int32_t> labels = assign_labels(c);
+    report->labels_hash = fnv1a(std::span<const std::int32_t>(labels));
+  }
   return g;
 }
 
@@ -95,8 +120,26 @@ std::string paste_ready(const Golden& g) {
          ",\n      " + hex_list(g.cs_score) + ",\n      " + hash + "};";
 }
 
+/// The report pin for `r`, formatted as the initializer the test holds.
+std::string paste_ready(const ReportPin& r) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf,
+                "  const ReportPin report = {%a, 0x%016llxULL};",
+                r.mean_max_membership,
+                static_cast<unsigned long long>(r.labels_hash));
+  return buf;
+}
+
 bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool matches(const Golden& got, const Golden& pin) {
+  bool match = got.params_hash == pin.params_hash;
+  for (int i = 0; i < kCycles; ++i)
+    match = match && same_bits(got.log_likelihood[i], pin.log_likelihood[i]) &&
+            same_bits(got.cs_score[i], pin.cs_score[i]);
+  return match;
 }
 
 void expect_golden(const Model& model, const Golden& pin) {
@@ -104,16 +147,36 @@ void expect_golden(const Model& model, const Golden& pin) {
        {simd::Level::kScalar, simd::detected_level()}) {
     const simd::ScopedForceLevel force(level);
     const Golden got = fit(model);
-    bool match = got.params_hash == pin.params_hash;
-    for (int i = 0; i < kCycles; ++i)
-      match = match &&
-              same_bits(got.log_likelihood[i], pin.log_likelihood[i]) &&
-              same_bits(got.cs_score[i], pin.cs_score[i]);
-    EXPECT_TRUE(match) << "golden pin moved at level "
-                       << simd::to_string(force.effective())
-                       << "; if the change is intended, the new pin is:\n"
-                       << paste_ready(got);
+    EXPECT_TRUE(matches(got, pin))
+        << "golden pin moved at level " << simd::to_string(force.effective())
+        << "; if the change is intended, the new pin is:\n"
+        << paste_ready(got);
   }
+}
+
+/// A J=8 rung of the ladder: the fit and its reports at both dispatch
+/// levels, with the EM and the reports at PAC_EM_THREADS 1 and 4.
+void expect_golden_ladder(const Model& model, const Golden& pin,
+                          const ReportPin& report_pin) {
+  for (const char* threads : {"1", "4"}) {
+    setenv("PAC_EM_THREADS", threads, 1);
+    for (const simd::Level level :
+         {simd::Level::kScalar, simd::detected_level()}) {
+      const simd::ScopedForceLevel force(level);
+      ReportPin report{};
+      const Golden got = fit(model, kLadderClasses, &report);
+      EXPECT_TRUE(matches(got, pin) &&
+                  same_bits(report.mean_max_membership,
+                            report_pin.mean_max_membership) &&
+                  report.labels_hash == report_pin.labels_hash)
+          << "golden J=" << kLadderClasses << " pin moved at level "
+          << simd::to_string(force.effective()) << " with " << threads
+          << " thread(s); if the change is intended, the new pins are:\n"
+          << paste_ready(got) << "\n"
+          << paste_ready(report);
+    }
+  }
+  unsetenv("PAC_EM_THREADS");
 }
 
 TEST(Golden, NormalWithMissing) {
@@ -128,6 +191,21 @@ TEST(Golden, NormalWithMissing) {
        -0x1.d77d5280e1a1ap+12, -0x1.d6a768b253ddap+12},
       0x20c9a4e9e41678d0ULL};
   expect_golden(Model::default_model(ld.dataset), pin);
+}
+
+TEST(Golden, NormalWithMissingJ8) {
+  data::LabeledDataset ld = data::paper_dataset(600, 91);
+  data::inject_missing(ld.dataset, 0.15, 31);
+  const Golden pin = {
+      {-0x1.ce7af7161004dp+12, -0x1.c575819e5ca98p+12,
+       -0x1.c1ec0a7d53a47p+12, -0x1.bf8d937792442p+12,
+       -0x1.bda0b2e044cb2p+12, -0x1.bd1f0753e13eep+12},
+      {-0x1.d42665c996039p+12, -0x1.cce799336ce0dp+12,
+       -0x1.cac664662ad62p+12, -0x1.c9c1a748a5e75p+12,
+       -0x1.c982c5cb81aa7p+12, -0x1.c997e3e5e40dap+12},
+      0x82f3fe1fa9bc5b5cULL};
+  const ReportPin report = {0x1.c616d0dd03b03p-1, 0x6f13ed1c22c359e0ULL};
+  expect_golden_ladder(Model::default_model(ld.dataset), pin, report);
 }
 
 TEST(Golden, MultinomialMissingAsExtraValue) {
@@ -166,6 +244,24 @@ TEST(Golden, CorrelatedModel) {
        -0x1.58fb7a8114652p+13, -0x1.5838b1bb5662fp+13},
       0x56124b1d7f0135f2ULL};
   expect_golden(Model::correlated_model(ld.dataset), pin);
+}
+
+TEST(Golden, CorrelatedModelJ8) {
+  const std::vector<data::CorrelatedComponent> mix = {
+      {0.5, {0.0, 0.0, 0.0}, {1.0, 0.0, 0.0, 0.5, 0.8, 0.0, 0.2, -0.3, 0.9}},
+      {0.5, {3.0, 1.0, -2.0}, {0.7, 0.0, 0.0, -0.4, 0.9, 0.0, 0.1, 0.3, 0.6}},
+  };
+  const data::LabeledDataset ld = data::correlated_mixture(mix, 600, 93);
+  const Golden pin = {
+      {-0x1.580109291c01dp+13, -0x1.54b5dcfb95996p+13,
+       -0x1.53fa8e3d344bfp+13, -0x1.53c1d65261a23p+13,
+       -0x1.53a91cf823732p+13, -0x1.539aeb62d838ep+13},
+      {-0x1.5d12e78cd69dcp+13, -0x1.5a573321c978p+13,
+       -0x1.59eb515116afcp+13, -0x1.59c3e0aeddb7ep+13,
+       -0x1.59aa35a828f3p+13, -0x1.59961b222cc48p+13},
+      0x1c54f87da074e57eULL};
+  const ReportPin report = {0x1.5f7848d456ea1p-1, 0xee42e1f62721c1b2ULL};
+  expect_golden_ladder(Model::correlated_model(ld.dataset), pin, report);
 }
 
 TEST(Golden, LognormalWithMissing) {
