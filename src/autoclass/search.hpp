@@ -54,7 +54,6 @@ struct TryResult {
   int try_index = 0;
   int j_requested = 0;
   bool converged = false;
-  bool duplicate = false;  // filled by the search loop
 };
 
 struct SearchResult {
@@ -66,7 +65,7 @@ struct SearchResult {
   /// Modeled EM cycles by which the run exceeded max_total_cycles (0 when
   /// under budget or the budget is disabled).  A try is never interrupted
   /// mid-EM, so the budget can be overshot by up to one try's cycles; the
-  /// overshoot is reported so cross-world budget sharing stays honest.
+  /// overshoot is reported so the try-group budget split stays honest.
   /// (Transient: not part of the checkpoint format.)
   std::int64_t cycle_overshoot = 0;
 

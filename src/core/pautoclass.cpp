@@ -160,27 +160,16 @@ ac::TryResult run_try(ac::EmWorker& worker, const ac::Model& model,
 // The world splits into G equal sub-worlds.  Sub-world g runs the global
 // tries {t : t % G == g} from the shared scheduled_j sequence, each try
 // block-partitioned over the sub-world's ranks exactly like the classic
-// path.  Group leaders (sub-rank 0) periodically push a serialized
-// snapshot of their group's SearchResult to the other leaders over world
-// pt2pt (framed blobs, checkpoint codec); leaders re-broadcast drained
-// snapshots inside their sub-world so every rank of a group keeps making
-// identical decisions.  The exchange is *advisory*: it powers cross-world
-// duplicate marking, the patience bar, and the shared cycle budget, but
-// never changes what reaches the final reduction — group boards are
-// append-only (every completed try enters, duplicates only marked, no
-// truncation), and the final all-world allgather + ac::merge_leaderboards
-// is the single authority that eliminates duplicates and truncates to
-// keep_best.  The merged leaderboard therefore depends only on
-// (seed, completed try set) and not on message timing or on G (at fixed
-// sub-world size; see DESIGN.md for why the sub-world size pins the FP
-// fold shape).
-
-/// World-comm tag reserved for cross-sub-world leaderboard summaries (the
-/// EM phases use only collectives, so no other world pt2pt exists to
-/// collide with).
-constexpr int kExchangeTag = 0x5EA7C4;
-/// wire `kind` of a serialized group SearchResult snapshot.
-constexpr std::uint32_t kSummaryKind = 0x53524573;  // "SREs"
+// path.  Groups exchange nothing while they run: every stopping decision
+// (patience, the cycle budget) reads only the group's own completed tries
+// and the resumed board, which every rank of the group holds identically.
+// The final all-world allgather + ac::merge_leaderboards is the only
+// contact between groups and the single authority that eliminates
+// duplicates and truncates to keep_best.  The completed try set, the
+// merged leaderboard and the modeled sweep time are therefore pure
+// functions of (seed, config, G); the leaderboard also does not depend on
+// G when no stopping rule is on (at fixed sub-world size; see DESIGN.md for
+// why the sub-world size pins the FP fold shape).
 
 std::string encode_group_summary(const ac::SearchResult& result) {
   std::ostringstream os;
@@ -192,40 +181,6 @@ ac::SearchResult decode_group_summary(const std::string& payload,
                                       const ac::Model& model) {
   std::istringstream is(payload);
   return ac::load_search_result(is, model);
-}
-
-/// Leader-side drain of queued foreign summaries, re-broadcast inside the
-/// sub-world, and replicated update of the per-group foreign view.
-/// Returns the number of drained messages (identical on all sub ranks).
-int drain_foreign_summaries(mp::Comm& comm, mp::Comm& sub, int sub_size,
-                            const ac::Model& model,
-                            std::vector<ac::SearchResult>& foreign) {
-  std::vector<std::uint64_t> sources;
-  std::vector<std::string> payloads;
-  if (sub.rank() == 0) {
-    std::string payload;
-    mp::Status st;
-    while (mp::wire::try_recv_blob(comm, mp::kAnySource, kExchangeTag,
-                                   kSummaryKind, payload, &st)) {
-      sources.push_back(static_cast<std::uint64_t>(st.source));
-      payloads.push_back(std::move(payload));
-    }
-  }
-  std::uint64_t count = sources.size();
-  sub.broadcast<std::uint64_t>(std::span<std::uint64_t>(&count, 1), 0);
-  sources.resize(count);
-  payloads.resize(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    sub.broadcast<std::uint64_t>(std::span<std::uint64_t>(&sources[i], 1), 0);
-    mp::wire::broadcast_blob(sub, payloads[i], 0);
-    // Sender leaders live at world rank g * sub_size.  Per-pair FIFO means
-    // a later snapshot from the same group overwrites an earlier one.
-    const auto g = static_cast<std::size_t>(sources[i]) /
-                   static_cast<std::size_t>(sub_size);
-    PAC_CHECK(g < foreign.size());
-    foreign[g] = decode_group_summary(payloads[i], model);
-  }
-  return static_cast<int>(count);
 }
 
 ac::SearchResult run_group_search(mp::Comm& comm, const ac::Model& model,
@@ -254,141 +209,74 @@ ac::SearchResult run_group_search(mp::Comm& comm, const ac::Model& model,
   PAC_TRACE_SCOPE(rec, "search", "group_loop");
 
   // Replicated-per-group state: every rank of a sub-world computes the
-  // identical trajectory (collective results are bit-identical, and the
-  // foreign view below is leader-broadcast before use).
+  // identical trajectory, because collective results are bit-identical and
+  // no decision reads anything from outside the group.
   ac::SearchResult local;  // this group's own tries + append-only board
   int base_tries = 0;
-  int base_duplicates = 0;
   std::int64_t base_cycles = 0;
-  double best_score = -std::numeric_limits<double>::infinity();
   if (resume != nullptr) {
     base_tries = resume->tries;
-    base_duplicates = resume->duplicates;
     base_cycles = resume->total_cycles;
-    // The stored leaderboard seeds every group's duplicate elimination;
-    // the final merge dedups the G replicated copies by try index.
-    for (const ac::TryResult& entry : resume->best)
-      local.best.push_back(ac::TryResult{entry.classification,
-                                         entry.try_index, entry.j_requested,
-                                         entry.converged, entry.duplicate});
-    if (!local.best.empty())
-      best_score = ac::score_of(local.best.front().classification,
-                                config.score);
+    // The stored leaderboard seeds every group's duplicate test; the final
+    // merge dedups the G replicated copies by try index.
+    local.best = resume->best;
   }
-
-  std::vector<ac::SearchResult> foreign(static_cast<std::size_t>(groups));
-  const int exchange_period = std::max(1, parallel.exchange_period);
-  int since_exchange = 0;
+  double best_score =
+      local.best.empty()
+          ? -std::numeric_limits<double>::infinity()
+          : ac::score_of(local.best.front().classification, config.score);
+  // Each group may spend an equal share of the cycles the resumed run left
+  // of the budget (at G=1 the whole of it).
+  std::int64_t cycle_share = 0;
+  if (config.max_total_cycles > 0)
+    cycle_share =
+        (std::max<std::int64_t>(0, config.max_total_cycles - base_cycles) +
+         groups - 1) /
+        groups;
+  const auto share_spent = [&] {
+    return config.max_total_cycles > 0 && local.total_cycles >= cycle_share;
+  };
   int stale_tries = 0;
 
   // First global try owned by this group at or past base_tries.
   int t = base_tries + (((group - base_tries) % groups) + groups) % groups;
-  for (; t < config.max_tries; t += groups) {
-    const int drained =
-        groups > 1
-            ? drain_foreign_summaries(comm, sub, sub_size, model, foreign)
-            : 0;
-    if (rec != nullptr && drained > 0)
-      rec->metrics().counter("search.exchange.drained").add(
-          static_cast<std::uint64_t>(drained));
-    // A foreign group's best raises the bar patience measures against.
-    for (const ac::SearchResult& f : foreign)
-      if (!f.best.empty())
-        best_score = std::max(
-            best_score, ac::score_of(f.best.front().classification,
-                                     config.score));
-    // Shared budget: what this group knows of the global cycle count.
-    std::int64_t known_cycles = base_cycles + local.total_cycles;
-    for (const ac::SearchResult& f : foreign) known_cycles += f.total_cycles;
-    if (config.max_total_cycles > 0 && known_cycles >= config.max_total_cycles)
-      break;
-
+  for (; t < config.max_tries && !share_spent(); t += groups) {
     const int j = ac::scheduled_j(config, t);
     ac::TryResult attempt = run_try(worker, model, config, t, j, rec);
     attempt.try_index = t;
     attempt.j_requested = j;
     ++local.tries;
     local.total_cycles += attempt.classification.cycles;
-    known_cycles += attempt.classification.cycles;
-    const bool over_budget = config.max_total_cycles > 0 &&
-                             known_cycles >= config.max_total_cycles;
+    // A try runs to completion, so the one that crosses the share is still
+    // recorded; the merge reports the global overshoot.
+    const bool over_budget = share_spent();
 
     attempt.classification.sort_classes_by_weight();
-    const auto duplicate_of = [&](const ac::TryResult& b) {
-      return attempt.classification.is_duplicate_of(
-          b.classification, config.duplicate_score_tolerance,
-          config.duplicate_weight_tolerance);
-    };
-    // Duplicate detection during the run is *advisory* (it feeds the
-    // patience bar and telemetry).  The attempt always enters the local
-    // board, only marked: dropping a local duplicate or truncating the
-    // board here would make the entry set reaching the final merge depend
-    // on how the tries were grouped (the duplicate relation is not
-    // transitive), breaking the G-invariance contract.  The final canonical
-    // merge is the single authority that eliminates duplicates and
-    // truncates to keep_best.
-    const bool dup_local =
-        std::any_of(local.best.begin(), local.best.end(), duplicate_of);
-    bool dup_foreign = false;
-    if (!dup_local) {
-      for (const ac::SearchResult& f : foreign)
-        dup_foreign = dup_foreign || std::any_of(f.best.begin(),
-                                                 f.best.end(), duplicate_of);
-    }
-    attempt.duplicate = dup_local || dup_foreign;
-    if (dup_foreign && rec != nullptr)
-      rec->metrics().counter("search.cross_world_duplicates").add(1);
+    // The attempt always enters the local board, even as a duplicate:
+    // dropping it or truncating the board here would make the entry set
+    // reaching the final merge depend on how the tries were grouped (the
+    // duplicate relation is not transitive).  Here a duplicate only counts
+    // as a stale try.
+    const bool duplicate = std::any_of(
+        local.best.begin(), local.best.end(), [&](const ac::TryResult& b) {
+          return attempt.classification.is_duplicate_of(
+              b.classification, config.duplicate_score_tolerance,
+              config.duplicate_weight_tolerance);
+        });
     const double attempt_score =
         ac::score_of(attempt.classification, config.score);
     local.best.push_back(std::move(attempt));
-    // Keep the canonical order (score descending, try ascending) so
-    // front() is the group's best for the advisory exchange.
-    std::sort(local.best.begin(), local.best.end(),
-              [&](const ac::TryResult& a, const ac::TryResult& b) {
-                const double sa =
-                    ac::score_of(a.classification, config.score);
-                const double sb =
-                    ac::score_of(b.classification, config.score);
-                if (sa != sb) return sa > sb;
-                return a.try_index < b.try_index;
-              });
 
-    if (dup_local || dup_foreign) {
-      if (!over_budget && config.patience > 0 &&
-          ++stale_tries >= config.patience)
-        break;
-    } else if (attempt_score > best_score) {
+    if (!duplicate && attempt_score > best_score) {
       best_score = attempt_score;
       stale_tries = 0;
     } else if (!over_budget && config.patience > 0 &&
                ++stale_tries >= config.patience) {
       break;
     }
-
-    if (leader && groups > 1 && ++since_exchange >= exchange_period) {
-      since_exchange = 0;
-      const std::string snapshot = encode_group_summary(local);
-      for (int g = 0; g < groups; ++g) {
-        if (g == group) continue;
-        mp::wire::send_blob(comm, g * sub_size, kExchangeTag, kSummaryKind,
-                            snapshot);
-        if (rec != nullptr)
-          rec->metrics().counter("search.exchange.sent").add(1);
-      }
-    }
     if (over_budget) break;
   }
 
-  // Final deterministic reduction.  The barrier closes the try phase on
-  // every rank; leftover advisory summaries are drained and discarded so a
-  // reused World does not start its next run with a stale mailbox.
-  comm.barrier();
-  if (leader && groups > 1) {
-    std::string discard;
-    while (mp::wire::try_recv_blob(comm, mp::kAnySource, kExchangeTag,
-                                   kSummaryKind, discard)) {
-    }
-  }
   // Leaders contribute their group's snapshot; other ranks contribute an
   // empty blob.  Gathered in world-rank order, so group order — every rank
   // decodes the same sequence and computes the identical merge.
@@ -396,7 +284,7 @@ ac::SearchResult run_group_search(mp::Comm& comm, const ac::Model& model,
       comm, leader ? encode_group_summary(local) : std::string());
   ac::SearchResult out;
   out.tries = base_tries;
-  out.duplicates = base_duplicates;
+  out.duplicates = resume != nullptr ? resume->duplicates : 0;
   out.total_cycles = base_cycles;
   std::vector<ac::TryResult> entries;
   std::set<int> seen_tries;
@@ -404,7 +292,6 @@ ac::SearchResult run_group_search(mp::Comm& comm, const ac::Model& model,
     if (blob.empty()) continue;
     ac::SearchResult s = decode_group_summary(blob, model);
     out.tries += s.tries;
-    out.duplicates += s.duplicates;
     out.total_cycles += s.total_cycles;
     for (ac::TryResult& entry : s.best) {
       // A resume-seeded entry is replicated on every group's board; it is
@@ -460,14 +347,8 @@ ParallelOutcome run_parallel_search(mp::World& world, const ac::Model& model,
       // mutable leaderboard.
       ac::SearchResult seed;
       if (resume) {
-        seed.tries = resume->tries;
-        seed.duplicates = resume->duplicates;
-        seed.total_cycles = resume->total_cycles;
-        for (const ac::TryResult& entry : resume->best)
-          seed.best.push_back(ac::TryResult{entry.classification,
-                                            entry.try_index,
-                                            entry.j_requested,
-                                            entry.converged, entry.duplicate});
+        seed = *resume;
+        seed.cycle_overshoot = 0;  // transient: recomputed by this run
       }
       result = ac::run_search_from(model, config, runner, std::move(seed));
       profile = reducer.profile();
@@ -534,13 +415,11 @@ BaseCycleMeasurement measure_base_cycle(mp::World& world,
                         parallel.strategy == Strategy::kFull);
     ac::Classification c(model, static_cast<std::size_t>(j));
     worker.random_init(c, seed, 0, em);
-    const double start = comm.now();
     for (int cycle = 0; cycle < cycles; ++cycle) {
       worker.update_parameters(c);
       worker.update_wts(c);
       worker.update_approximations(c);
     }
-    (void)start;
     if (comm.rank() == 0 || comm.distributed()) {
       std::lock_guard<std::mutex> lock(result_mutex);
       rank0_profile = reducer.profile();
@@ -550,8 +429,9 @@ BaseCycleMeasurement measure_base_cycle(mp::World& world,
   BaseCycleMeasurement out;
   out.stats = std::move(stats);
   out.profile = *rank0_profile;
-  // Exclude the try-overhead of random_init from the per-cycle figure by
-  // charging it against the whole run: init cost is one-off and small.
+  // The one-off random_init charge (try overhead and the first reduction)
+  // is part of virtual_time, so it is spread over the cycles: small next
+  // to `cycles` base cycles.
   out.seconds_per_cycle = out.stats.virtual_time / static_cast<double>(cycles);
   return out;
 }

@@ -64,18 +64,13 @@ struct ParallelConfig {
   /// threads).  0 = the classic replicated BIG_LOOP over the whole world.
   /// G >= 1 splits the world into G equal sub-worlds; sub-world g runs the
   /// global tries t with t % G == g from the shared scheduled_j sequence
-  /// (block-partitioned EM inside each sub-world), exchanges leaderboard
-  /// summaries with the other sub-worlds for global duplicate marking and
-  /// budget sharing, and the per-group leaderboards are merged with the
-  /// canonical rule (ac::merge_leaderboards) in a final all-world
-  /// reduction.  Must divide the world size.  See DESIGN.md for the
-  /// determinism contract.
+  /// (block-partitioned EM inside each sub-world), applies patience and an
+  /// equal share of the cycle budget to its own tries only, and the
+  /// per-group leaderboards are merged with the canonical rule
+  /// (ac::merge_leaderboards) in a final all-world reduction, the only
+  /// contact between groups.  Must divide the world size.  See DESIGN.md
+  /// for the determinism contract.
   int try_groups = 0;
-  /// Group-mode cadence, in completed local tries, of the cross-world
-  /// summary exchange.  Exchange is advisory (it feeds duplicate *marking*,
-  /// patience, and the shared cycle budget) and never changes the merged
-  /// leaderboard, which depends only on the set of completed tries.
-  int exchange_period = 1;
 };
 
 /// Per-rank virtual time split by EM phase (compute charges only; network

@@ -205,46 +205,6 @@ Status Comm::recv_bytes(int source, int tag, void* buffer,
   return st;
 }
 
-Status Comm::probe(int source, int tag) {
-  PAC_REQUIRE(valid());
-  PAC_REQUIRE(source == kAnySource || (source >= 0 && source < size()));
-  const int world_source = source == kAnySource ? kAnySource : group_[source];
-  int matched_source = 0, matched_tag = 0;
-  std::size_t matched_bytes = 0;
-  if (distributed_) {
-    // Blocked-probe time is communication time on the wall clock.
-    const double start = dist_op_begin();
-    transport_->peek(context_, world_source, tag, matched_source, matched_tag,
-                     matched_bytes);
-    dist_op_end(start);
-  } else {
-    transport_->peek(context_, world_source, tag, matched_source, matched_tag,
-                     matched_bytes);
-  }
-  Status st;
-  for (std::size_t r = 0; r < group_.size(); ++r)
-    if (group_[r] == matched_source) st.source = static_cast<int>(r);
-  st.tag = matched_tag;
-  st.bytes = matched_bytes;
-  return st;
-}
-
-bool Comm::iprobe(int source, int tag, Status& status) {
-  PAC_REQUIRE(valid());
-  PAC_REQUIRE(source == kAnySource || (source >= 0 && source < size()));
-  const int world_source = source == kAnySource ? kAnySource : group_[source];
-  int matched_source = 0, matched_tag = 0;
-  std::size_t matched_bytes = 0;
-  if (!transport_->try_peek(context_, world_source, tag, matched_source,
-                            matched_tag, matched_bytes))
-    return false;
-  for (std::size_t r = 0; r < group_.size(); ++r)
-    if (group_[r] == matched_source) status.source = static_cast<int>(r);
-  status.tag = matched_tag;
-  status.bytes = matched_bytes;
-  return true;
-}
-
 void Comm::barrier() {
   PAC_REQUIRE(valid());
   if (distributed_) {

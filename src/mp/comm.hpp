@@ -5,7 +5,7 @@
 // concurrently — SPMD, exactly like `mpirun -np P`.  Ranks communicate only
 // through their Comm:
 //
-//   * tagged point-to-point send/recv/probe with MPI matching semantics,
+//   * tagged point-to-point send/recv with MPI matching semantics,
 //   * the deterministic collectives P-AutoClass runs (Barrier, Bcast,
 //     Allreduce, Allgather), which combine contributions in rank order, and
 //   * communicator splitting (Comm::split) for subgroup algorithms.
@@ -260,14 +260,6 @@ class Comm {
     return v;
   }
 
-  /// Block until a matching message is available without receiving it;
-  /// returns its source/tag/size (MPI_Probe).  The caller can then size a
-  /// buffer and recv with the exact envelope.
-  Status probe(int source, int tag);
-
-  /// Non-blocking probe (MPI_Iprobe); true if a matching message is queued.
-  bool iprobe(int source, int tag, Status& status);
-
   // ---- collectives (must be called by every rank of the group, with
   //      matching arguments, in the same order) ----
 
@@ -336,7 +328,7 @@ class Comm {
   //      pt2pt frames over a private context (comm_dist.cpp) ----
 
   /// Context reserved for this comm's internal collective traffic, so user
-  /// wildcard receives/probes never observe collective frames.
+  /// wildcard receives never observe collective frames.
   int coll_context() const noexcept { return context_ + (1 << 28); }
 
   /// Mark an operation boundary: credit the wall-clock gap since the last

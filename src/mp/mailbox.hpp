@@ -40,15 +40,6 @@ class Mailbox {
   /// Throws Aborted if the world is torn down while waiting.
   Message pop(int context, int source, int tag);
 
-  /// Blocking match *without* consuming: fills source/tag/size of the
-  /// earliest matching message.  Throws Aborted on teardown.
-  void peek(int context, int source, int tag, int& matched_source,
-            int& matched_tag, std::size_t& matched_bytes);
-
-  /// Non-blocking peek; returns false if no match is queued.
-  bool try_peek(int context, int source, int tag, int& matched_source,
-                int& matched_tag, std::size_t& matched_bytes);
-
   /// Number of queued messages (diagnostics / leak checks).
   std::size_t pending() const;
 
@@ -66,7 +57,7 @@ class Mailbox {
   void set_expected_sources(int n);
 
   /// Record that `source` can never deliver again (its stream reached a
-  /// clean shutdown or died).  A blocked pop/peek waiting specifically on
+  /// clean shutdown or died).  A blocked pop waiting specifically on
   /// that source — or a wildcard wait once every source is closed — throws
   /// TransportError instead of hanging forever.
   void mark_source_closed(int source);

@@ -14,7 +14,7 @@ namespace pac::mp::transport {
 class InProcessTransport final : public Transport {
  public:
   /// `boxes[r]` is world rank r's mailbox; `rank` is the owning rank (the
-  /// only rank allowed to call recv/peek on this instance).
+  /// only rank allowed to call recv on this instance).
   InProcessTransport(std::vector<Mailbox*> boxes, int rank)
       : boxes_(std::move(boxes)), rank_(rank) {}
 
@@ -30,19 +30,6 @@ class InProcessTransport final : public Transport {
 
   Message recv(int context, int source_world_rank, int tag) override {
     return inbox().pop(context, source_world_rank, tag);
-  }
-
-  void peek(int context, int source_world_rank, int tag, int& matched_source,
-            int& matched_tag, std::size_t& matched_bytes) override {
-    inbox().peek(context, source_world_rank, tag, matched_source, matched_tag,
-                 matched_bytes);
-  }
-
-  bool try_peek(int context, int source_world_rank, int tag,
-                int& matched_source, int& matched_tag,
-                std::size_t& matched_bytes) override {
-    return inbox().try_peek(context, source_world_rank, tag, matched_source,
-                            matched_tag, matched_bytes);
   }
 
  private:

@@ -348,20 +348,6 @@ Message SocketTransport::recv(int context, int source_world_rank, int tag) {
   return inbox_.pop(context, source_world_rank, tag);
 }
 
-void SocketTransport::peek(int context, int source_world_rank, int tag,
-                           int& matched_source, int& matched_tag,
-                           std::size_t& matched_bytes) {
-  inbox_.peek(context, source_world_rank, tag, matched_source, matched_tag,
-              matched_bytes);
-}
-
-bool SocketTransport::try_peek(int context, int source_world_rank, int tag,
-                               int& matched_source, int& matched_tag,
-                               std::size_t& matched_bytes) {
-  return inbox_.try_peek(context, source_world_rank, tag, matched_source,
-                         matched_tag, matched_bytes);
-}
-
 TransportStats SocketTransport::stats() const noexcept {
   TransportStats s;
   s.messages_sent = messages_sent_.load(std::memory_order_relaxed);

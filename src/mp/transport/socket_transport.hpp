@@ -86,11 +86,6 @@ class SocketTransport : public Transport {
 
   void send(int dest_world_rank, Message msg) override;
   Message recv(int context, int source_world_rank, int tag) override;
-  void peek(int context, int source_world_rank, int tag, int& matched_source,
-            int& matched_tag, std::size_t& matched_bytes) override;
-  bool try_peek(int context, int source_world_rank, int tag,
-                int& matched_source, int& matched_tag,
-                std::size_t& matched_bytes) override;
   TransportStats stats() const noexcept override;
 
   /// Wall clock started at world formation (shared time base of this rank).

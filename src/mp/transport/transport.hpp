@@ -1,8 +1,7 @@
 // pacnet: the transport abstraction under minimpi's point-to-point layer.
 //
 // A Transport moves tagged messages between world ranks and answers the
-// mailbox-style matching queries (blocking receive, blocking and
-// non-blocking probe, with MPI wildcard semantics).  Two backends
+// mailbox-style blocking receive, with MPI wildcard semantics.  Two backends
 // implement it:
 //
 //   * InProcessTransport — the original ranks-as-threads path: send pushes
@@ -68,16 +67,6 @@ class Transport {
   /// consume it.  Wildcards: kAnySource / kAnyTag.  Throws TransportError
   /// if the wait can never be satisfied (peer death, transport failure).
   virtual Message recv(int context, int source_world_rank, int tag) = 0;
-
-  /// Blocking match without consuming (MPI_Probe).
-  virtual void peek(int context, int source_world_rank, int tag,
-                    int& matched_source, int& matched_tag,
-                    std::size_t& matched_bytes) = 0;
-
-  /// Non-blocking peek (MPI_Iprobe); false if no match is queued.
-  virtual bool try_peek(int context, int source_world_rank, int tag,
-                        int& matched_source, int& matched_tag,
-                        std::size_t& matched_bytes) = 0;
 
   /// Wire-level traffic counters (zeros for the in-process backend).
   virtual TransportStats stats() const noexcept { return {}; }

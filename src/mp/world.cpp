@@ -45,7 +45,7 @@ RunStats World::run_modeled(const std::function<void(Comm&)>& fn) {
   std::vector<char> aborted(p, 0);
 
   // The mailbox data path, factored behind the Transport interface: one
-  // instance per rank so recv/peek always act on the owner's inbox.
+  // instance per rank so recv always acts on the owner's inbox.
   std::vector<Mailbox*> boxes;
   boxes.reserve(p);
   for (auto& box : mailboxes_) boxes.push_back(box.get());

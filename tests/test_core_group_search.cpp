@@ -1,8 +1,9 @@
 // Try-parallel search (ParallelConfig::try_groups): the merged leaderboard
 // must be a pure function of (seed, completed try set) — bit-identical
-// across the number of sub-worlds G at fixed sub-world size — and the
-// advisory cross-world exchange (duplicate marking, shared cycle budget)
-// must never perturb it.  See DESIGN.md "Try-parallel search".
+// across the number of sub-worlds G at fixed sub-world size — and, with
+// group-local patience and the split cycle budget on, the completed try
+// set, the board and the modeled sweep time must be pure functions of
+// (seed, config, G).  See DESIGN.md "Try-parallel search".
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -121,26 +122,6 @@ TEST(GroupSearch, MergedBoardIsBitIdenticalAtSubWorldSizeTwo) {
   expect_bitwise_equal(split.search, base.search);
 }
 
-TEST(GroupSearch, ExchangePeriodDoesNotChangeTheMergedBoard) {
-  // The exchange is advisory: starving it (huge period -> no messages ever
-  // sent) must leave the merged leaderboard untouched.
-  const data::LabeledDataset ld = data::paper_dataset(400, 93);
-  const ac::Model model = ac::Model::default_model(ld.dataset);
-  const ac::SearchConfig config = group_search_config();
-
-  ParallelConfig eager;
-  eager.try_groups = 2;
-  eager.exchange_period = 1;
-  ParallelConfig starved;
-  starved.try_groups = 2;
-  starved.exchange_period = 1000;
-
-  mp::World world(ideal_world(2));
-  const ParallelOutcome a = run_parallel_search(world, model, config, eager);
-  const ParallelOutcome b = run_parallel_search(world, model, config, starved);
-  expect_bitwise_equal(a.search, b.search);
-}
-
 TEST(GroupSearch, BoardEntriesHaveUniqueTryIndices) {
   const data::LabeledDataset ld = data::paper_dataset(400, 94);
   const ac::Model model = ac::Model::default_model(ld.dataset);
@@ -177,14 +158,70 @@ TEST(GroupSearch, SharedCycleBudgetStopsEarlyAndReportsOvershoot) {
   mp::World world(ideal_world(2));
   const ParallelOutcome out = run_parallel_search(world, model, config, gp);
 
-  // A try is never interrupted mid-EM, so the run can overshoot by at most
-  // one try per group; the global count must still have crossed the budget
-  // and the overshoot must reconcile exactly.
+  // Each group stops starting tries once its own cycles reach its share,
+  // ceil(60 / 2) = 30.  A try is never interrupted mid-EM, so each group
+  // overshoots its share by less than one try (at most max_cycles + 2
+  // cycles with the prune refit); the global count crosses the budget and
+  // the overshoot reconciles exactly.
+  const std::int64_t try_cap = config.em.max_cycles + 2;
   EXPECT_LT(out.search.tries, config.max_tries);
   EXPECT_GE(out.search.total_cycles, config.max_total_cycles);
+  EXPECT_LT(out.search.total_cycles, config.max_total_cycles + 2 * try_cap);
   EXPECT_EQ(out.search.cycle_overshoot,
             out.search.total_cycles - config.max_total_cycles);
   EXPECT_FALSE(out.search.best.empty());
+
+  // The share is taken of what a resumed run left of the budget: resuming
+  // the run above with a budget 20 cycles past its total gives each group
+  // 10 more cycles, so at least one more try each and at most one try's
+  // cycles past the share.
+  ac::SearchConfig more = config;
+  more.max_total_cycles = out.search.total_cycles + 20;
+  const ParallelOutcome resumed =
+      run_parallel_search(world, model, more, gp, &out.search);
+  EXPECT_GE(resumed.search.tries, out.search.tries + 2);
+  EXPECT_GE(resumed.search.total_cycles, more.max_total_cycles);
+  EXPECT_LT(resumed.search.total_cycles, more.max_total_cycles + 2 * try_cap);
+  EXPECT_EQ(resumed.search.cycle_overshoot,
+            resumed.search.total_cycles - more.max_total_cycles);
+}
+
+TEST(GroupSearch, PatienceAndBudgetRepeatBitIdentically) {
+  // With both stopping rules on, every decision a group makes reads only
+  // its own tries, so repeats agree on the completed try set, the board and
+  // the modeled sweep time to the bit, whatever the thread timing.
+  const data::LabeledDataset ld = data::paper_dataset(300, 99);
+  const ac::Model model = ac::Model::default_model(ld.dataset);
+  ac::SearchConfig config = group_search_config();
+  config.max_tries = 40;
+  config.patience = 1;
+  config.max_total_cycles = 90;
+
+  ParallelConfig gp;
+  gp.try_groups = 2;
+  for (const int ranks : {2, 4}) {
+    SCOPED_TRACE("ranks=" + std::to_string(ranks));
+    mp::World::Config cfg;
+    cfg.num_ranks = ranks;
+    cfg.machine = net::pentium_cluster();
+    mp::World world(cfg);
+    const ParallelOutcome first = run_parallel_search(world, model, config, gp);
+    // The budget is what stops this sweep early.
+    ASSERT_LT(first.search.tries, config.max_tries);
+    ASSERT_GT(first.search.cycle_overshoot, 0);
+    ASSERT_GT(first.stats.virtual_time, 0.0);
+    for (int repeat = 1; repeat < 20; ++repeat) {
+      SCOPED_TRACE("repeat=" + std::to_string(repeat));
+      const ParallelOutcome again =
+          run_parallel_search(world, model, config, gp);
+      EXPECT_EQ(again.search.tries, first.search.tries);
+      EXPECT_EQ(again.search.total_cycles, first.search.total_cycles);
+      EXPECT_EQ(again.search.cycle_overshoot, first.search.cycle_overshoot);
+      expect_bitwise_equal(again.search, first.search);
+      expect_bits(again.stats.virtual_time, first.stats.virtual_time,
+                  "virtual_time");
+    }
+  }
 }
 
 TEST(GroupSearch, ResumeSeedsEveryGroupWithoutDuplicatingTheBoard) {

@@ -42,18 +42,6 @@ TEST(Mailbox, WildcardsTakeEarliestMatch) {
   EXPECT_EQ(out.tag, 7);
 }
 
-TEST(Mailbox, TryPeekReturnsFalseWhenNoMatch) {
-  Mailbox box;
-  box.push(make_message(0, 1, 5));
-  int source = -1, tag = -1;
-  std::size_t bytes = 0;
-  EXPECT_FALSE(box.try_peek(0, 1, 6, source, tag, bytes));
-  EXPECT_FALSE(box.try_peek(0, 2, 5, source, tag, bytes));
-  EXPECT_FALSE(box.try_peek(9, 1, 5, source, tag, bytes));
-  EXPECT_EQ(source, -1);  // untouched on a miss
-  EXPECT_EQ(box.pending(), 1u);
-}
-
 TEST(Mailbox, BlockingPopWakesOnPush) {
   Mailbox box;
   std::atomic<bool> got{false};
@@ -87,18 +75,6 @@ TEST(Mailbox, AbortWakesBlockedPop) {
   box.reset();
   box.push(make_message(0, 0, 0, std::vector<std::byte>(2)));
   EXPECT_EQ(box.pop(0, 0, 0).payload.size(), 2u);
-}
-
-TEST(Mailbox, PeekDoesNotConsume) {
-  Mailbox box;
-  box.push(make_message(0, 5, 8, std::vector<std::byte>(16)));
-  int source = -1, tag = -1;
-  std::size_t bytes = 0;
-  ASSERT_TRUE(box.try_peek(0, kAnySource, kAnyTag, source, tag, bytes));
-  EXPECT_EQ(source, 5);
-  EXPECT_EQ(tag, 8);
-  EXPECT_EQ(bytes, 16u);
-  EXPECT_EQ(box.pending(), 1u);
 }
 
 TEST(Engine, FoldRunsExactlyOncePerPhase) {

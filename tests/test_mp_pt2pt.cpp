@@ -146,63 +146,6 @@ TEST(Pt2Pt, InvalidDestinationThrows) {
                Error);
 }
 
-TEST(Probe, BlockingProbeReportsEnvelope) {
-  World world(zero_config(2));
-  world.run([](Comm& comm) {
-    if (comm.rank() == 0) {
-      std::vector<double> payload(17, 1.0);
-      comm.send<double>(1, 9, payload);
-    } else {
-      const Status st = comm.probe(kAnySource, kAnyTag);
-      EXPECT_EQ(st.source, 0);
-      EXPECT_EQ(st.tag, 9);
-      EXPECT_EQ(st.bytes, 17 * sizeof(double));
-      // Probe does not consume: the recv still matches.
-      std::vector<double> buf(st.bytes / sizeof(double));
-      const Status recv_st = comm.recv<double>(st.source, st.tag, buf);
-      EXPECT_EQ(recv_st.bytes, st.bytes);
-    }
-  });
-}
-
-TEST(Probe, IprobePollsWithoutConsuming) {
-  World world(zero_config(2));
-  world.run([](Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.recv_value<int>(1, 1);  // handshake: rank 1 polled empty first
-      comm.send_value<int>(1, 2, 42);
-    } else {
-      Status st;
-      EXPECT_FALSE(comm.iprobe(0, 2, st));
-      comm.send_value<int>(0, 1, 0);
-      while (!comm.iprobe(0, 2, st)) {
-      }
-      EXPECT_EQ(st.bytes, sizeof(int));
-      EXPECT_TRUE(comm.iprobe(0, 2, st));  // still queued
-      EXPECT_EQ(comm.recv_value<int>(0, 2), 42);
-      EXPECT_FALSE(comm.iprobe(0, 2, st));  // now consumed
-    }
-  });
-}
-
-TEST(Probe, SizedReceiveViaProbe) {
-  // The classic pattern: probe for an unknown-size message, then size the
-  // buffer exactly.
-  World world(zero_config(2));
-  world.run([](Comm& comm) {
-    if (comm.rank() == 0) {
-      std::vector<std::int32_t> payload(123, 7);
-      comm.send<std::int32_t>(1, 0, payload);
-    } else {
-      const Status st = comm.probe(0, 0);
-      std::vector<std::int32_t> buf(st.bytes / sizeof(std::int32_t));
-      comm.recv<std::int32_t>(0, 0, buf);
-      EXPECT_EQ(buf.size(), 123u);
-      EXPECT_EQ(buf[122], 7);
-    }
-  });
-}
-
 TEST(World, ExceptionInOneRankPropagates) {
   World world(zero_config(4));
   EXPECT_THROW(world.run([](Comm& comm) {

@@ -204,8 +204,8 @@ TEST(TransportHybrid, EmCycleAndThreadsBitIdenticalAcrossBackends) {
 }
 
 TEST(TransportHybrid, GroupSearchMergesBitIdenticalToInProcess) {
-  // Try-parallel search on the hybrid transport: sub-world split, advisory
-  // summary exchange, and final leaderboard merge all over shm rings.
+  // Try-parallel search on the hybrid transport: sub-world split, EM
+  // collectives and the final leaderboard merge all over shm rings.
   constexpr int kRanks = 4;
   const data::LabeledDataset ld = data::paper_dataset(500, 23);
   const ac::Model model = ac::Model::default_model(ld.dataset);

@@ -94,25 +94,6 @@ TEST(TransportSocket, TagMatchingOutOfOrderAndNonOvertaking) {
   });
 }
 
-TEST(TransportSocket, ProbeAndIprobe) {
-  run_socket_world(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.send_value<double>(1, 5, 2.75);
-    } else {
-      const Status probed = comm.probe(kAnySource, kAnyTag);
-      EXPECT_EQ(probed.source, 0);
-      EXPECT_EQ(probed.tag, 5);
-      EXPECT_EQ(probed.bytes, sizeof(double));
-      Status st;
-      EXPECT_TRUE(comm.iprobe(0, 5, st));
-      EXPECT_EQ(st.bytes, sizeof(double));
-      EXPECT_EQ(comm.recv_value<double>(0, 5), 2.75);
-      EXPECT_FALSE(comm.iprobe(0, 5, st));
-    }
-    comm.barrier();
-  });
-}
-
 TEST(TransportSocket, CollectivesBitIdenticalToInProcess) {
   constexpr int kRanks = 4;
   std::vector<std::vector<double>> socket_sink(kRanks), modeled_sink(kRanks);
@@ -281,33 +262,39 @@ TEST(TransportSocket, MStepKernelAndThreadsBitIdenticalAcrossBackends) {
 
 TEST(TransportSocket, GroupSearchMergesBitIdenticalToInProcess) {
   // Try-parallel search on the real transport: four socket ranks split into
-  // two sub-worlds, with the advisory summary exchange riding world pt2pt
-  // and the final merge riding the allgather.  The merged leaderboard must
-  // be identical on every rank and bit-identical to the in-process modeled
-  // backend at the same sub-world size.
+  // two sub-worlds that exchange nothing until the final merge rides the
+  // allgather.  The merged leaderboard must be identical on every rank and
+  // bit-identical to the in-process modeled backend at the same sub-world
+  // size, also with group-local patience and the split cycle budget on.
   constexpr int kRanks = 4;
   const data::LabeledDataset ld = data::paper_dataset(500, 23);
   const ac::Model model = ac::Model::default_model(ld.dataset);
-  ac::SearchConfig config;
-  config.start_j_list = {2, 4, 6};
-  config.max_tries = 6;
-  config.em.max_cycles = 30;
-  config.seed = 2024;
+  ac::SearchConfig sweep;
+  sweep.start_j_list = {2, 4, 6};
+  sweep.max_tries = 6;
+  sweep.em.max_cycles = 30;
+  sweep.seed = 2024;
+  ac::SearchConfig stopping = sweep;
+  stopping.max_tries = 40;
+  stopping.patience = 1;
+  stopping.max_total_cycles = 90;
+  const std::vector<ac::SearchConfig> configs = {sweep, stopping};
   core::ParallelConfig parallel;
   parallel.try_groups = 2;
 
   // Each rank thread owns a full World (what kRanks pac_launch'd processes
-  // would do) and runs the whole search, capturing its own merged result.
+  // would do) and runs every search, capturing its own merged results.
   const std::string address = unique_address();
-  std::vector<core::ParallelOutcome> outcomes(kRanks);
+  std::vector<std::vector<core::ParallelOutcome>> outcomes(kRanks);
   std::vector<std::exception_ptr> errors(kRanks);
   std::vector<std::thread> ranks;
   for (int r = 0; r < kRanks; ++r) {
     ranks.emplace_back([&, r] {
       try {
         World world(socket_config(address, r, kRanks));
-        outcomes[static_cast<std::size_t>(r)] =
-            core::run_parallel_search(world, model, config, parallel);
+        for (const ac::SearchConfig& config : configs)
+          outcomes[static_cast<std::size_t>(r)].push_back(
+              core::run_parallel_search(world, model, config, parallel));
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
       }
@@ -321,13 +308,12 @@ TEST(TransportSocket, GroupSearchMergesBitIdenticalToInProcess) {
   cfg.num_ranks = kRanks;
   cfg.machine = net::ideal_machine();
   World reference(cfg);
-  const core::ParallelOutcome expected =
-      core::run_parallel_search(reference, model, config, parallel);
 
   const auto flatten = [](const ac::SearchResult& s) {
     std::vector<double> v;
     v.push_back(static_cast<double>(s.tries));
     v.push_back(static_cast<double>(s.total_cycles));
+    v.push_back(static_cast<double>(s.cycle_overshoot));
     v.push_back(static_cast<double>(s.best.size()));
     for (const ac::TryResult& e : s.best) {
       v.push_back(static_cast<double>(e.try_index));
@@ -341,13 +327,21 @@ TEST(TransportSocket, GroupSearchMergesBitIdenticalToInProcess) {
     }
     return v;
   };
-  std::vector<std::vector<double>> socket_boards, reference_boards;
-  for (const core::ParallelOutcome& o : outcomes)
-    socket_boards.push_back(flatten(o.search));
-  for (int r = 0; r < kRanks; ++r)
-    reference_boards.push_back(flatten(expected.search));
-  ASSERT_FALSE(expected.search.best.empty());
-  expect_bit_identical(socket_boards, reference_boards);
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    SCOPED_TRACE("config " + std::to_string(c));
+    const core::ParallelOutcome expected =
+        core::run_parallel_search(reference, model, configs[c], parallel);
+    ASSERT_FALSE(expected.search.best.empty());
+    std::vector<std::vector<double>> socket_boards, reference_boards;
+    for (const std::vector<core::ParallelOutcome>& o : outcomes)
+      socket_boards.push_back(flatten(o[c].search));
+    for (int r = 0; r < kRanks; ++r)
+      reference_boards.push_back(flatten(expected.search));
+    expect_bit_identical(socket_boards, reference_boards);
+  }
+  // The stopping config must stop early, or it tests nothing beyond the
+  // first.
+  EXPECT_LT(outcomes[0][1].search.tries, stopping.max_tries);
 }
 
 TEST(TransportSocket, ConnectionRefusedThrowsTransportError) {
